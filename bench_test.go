@@ -760,3 +760,40 @@ func BenchmarkDecomposeBatch(b *testing.B) {
 		}
 	}
 }
+
+// reconSink keeps the inverse benchmarks' results live.
+var reconSink *image.Image
+
+// BenchmarkReconstruct512 measures the sequential inverse: a 5-level
+// Daubechies-8 periodic reconstruction of the 512x512 Landsat scene
+// through the panel-blocked synthesis kernels, whose only sizeable
+// allocation is the returned image (-benchmem).
+func BenchmarkReconstruct512(b *testing.B) {
+	p, err := wavelet.Decompose(image.Landsat(512, 512, 42), filter.Daubechies8(), filter.Periodic, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		reconSink = wavelet.Reconstruct(p)
+	}
+}
+
+// BenchmarkParallelReconstruct2048 measures the worker-pool inverse on
+// the scene workload's largest image: a 5-level Daubechies-8 periodic
+// reconstruction of a 2048x2048 Landsat scene at 1 and 2 workers.
+func BenchmarkParallelReconstruct2048(b *testing.B) {
+	p, err := wavelet.Decompose(image.Landsat(2048, 2048, 42), filter.Daubechies8(), filter.Periodic, 5)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				reconSink = core.ParallelReconstruct(p, workers)
+			}
+		})
+	}
+}

@@ -89,53 +89,18 @@ func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extensi
 }
 
 // ParallelReconstruct inverts ParallelDecompose with the given worker
-// count (0 means GOMAXPROCS). One persistent pool serves every level.
+// count (0 means GOMAXPROCS). It runs wavelet.ReconstructRanges — the
+// level driver behind wavelet.Reconstruct — on one persistent pool that
+// serves every level, handing out column ranges for the panel-blocked
+// column pass and row ranges for the in-place row pass. The result is
+// bit-identical to wavelet.Reconstruct regardless of worker count. A
+// pyramid whose bands do not chain panics with a *wavelet.UsageError on
+// the calling goroutine, before any work reaches the pool.
 func ParallelReconstruct(p *wavelet.Pyramid, workers int) *image.Image {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	pool := newWorkerPool(workers)
 	defer pool.Close()
-	cur := p.Approx
-	for _, d := range p.Levels {
-		cur = parallelSynthesize2D(pool, &wavelet.Subbands{LL: cur, LH: d.LH, HL: d.HL, HH: d.HH}, p.Bank, p.Ext)
-	}
-	return cur
-}
-
-func parallelSynthesize2D(pool *workerPool, sb *wavelet.Subbands, bank *filter.Bank, ext filter.Extension) *image.Image {
-	rows, cols := sb.LL.Rows, sb.LL.Cols
-	// Column synthesis: merge (LL,LH) -> L and (HL,HH) -> H, parallel
-	// over columns.
-	l := image.New(rows*2, cols)
-	h := image.New(rows*2, cols)
-	pool.Ranges(cols, func(c0, c1 int) {
-		colLo := make([]float64, rows)
-		colHi := make([]float64, rows)
-		full := make([]float64, rows*2)
-		merge := func(lo, hi, dst *image.Image, c int) {
-			colLo = lo.Col(c, colLo)
-			colHi = hi.Col(c, colHi)
-			for i := range full {
-				full[i] = 0
-			}
-			wavelet.SynthesizeStep(colLo, bank.RecLo, ext, full)
-			wavelet.SynthesizeStep(colHi, bank.RecHi, ext, full)
-			dst.SetCol(c, full)
-		}
-		for c := c0; c < c1; c++ {
-			merge(sb.LL, sb.LH, l, c)
-			merge(sb.HL, sb.HH, h, c)
-		}
-	})
-	// Row synthesis: merge (L,H) -> output, parallel over rows.
-	out := image.New(rows*2, cols*2)
-	pool.Ranges(rows*2, func(r0, r1 int) {
-		for r := r0; r < r1; r++ {
-			dst := out.Row(r)
-			wavelet.SynthesizeStep(l.Row(r), bank.RecLo, ext, dst)
-			wavelet.SynthesizeStep(h.Row(r), bank.RecHi, ext, dst)
-		}
-	})
-	return out
+	return wavelet.ReconstructRanges(p, pool.Ranges)
 }

@@ -1,7 +1,7 @@
 // Package kernel provides the fast-path convolution kernels behind the
-// shared-memory DWT: cache-blocked column filtering, unrolled row
-// filters for the hot banks, and a pooled scratch arena that eliminates
-// per-level allocations.
+// shared-memory DWT: cache-blocked column filtering and synthesis,
+// unrolled row filters for the hot banks, and a pooled scratch arena
+// that eliminates per-level allocations.
 //
 // The paper's argument — and this package's reason to exist — is that
 // the Mallat transform's memory-access pattern, not its FLOP count,
@@ -21,6 +21,17 @@
 // the reference path and the goldens of earlier PRs are preserved. The
 // equivalence tests in internal/wavelet enforce this with
 // math.Float64bits comparisons.
+//
+// The synthesis kernels (SynthesizeColsRange, SynthesizeRowsRange) keep
+// the reference wavelet.SynthesizeStep order per output coefficient:
+// start at zero, add the lo channel's terms h[k]·c[i] in ascending i
+// (ascending k within one i), then the hi channel's in the same order.
+// Unlike the reference they do not skip zero coefficients, which cannot
+// change a bit: the accumulator starts at +0 and never becomes -0, and
+// adding ±0 to anything else is exact. Column synthesis writes L and H
+// straight into the two halves of the level's output image and the row
+// pass merges each row in place through a one-row scratch, so the
+// inverse needs no full-size intermediate.
 //
 // Inputs are assumed validated (even dimensions, matching shapes); the
 // wavelet package checks before dispatching here.

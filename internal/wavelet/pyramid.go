@@ -68,15 +68,6 @@ func DecomposeReference(im *image.Image, bank *filter.Bank, ext filter.Extension
 	return p, nil
 }
 
-// Reconstruct inverts Decompose, rebuilding the original image.
-func Reconstruct(p *Pyramid) *image.Image {
-	cur := p.Approx
-	for _, d := range p.Levels {
-		cur = Synthesize2D(&Subbands{LL: cur, LH: d.LH, HL: d.HL, HH: d.HH}, p.Bank, p.Ext)
-	}
-	return cur
-}
-
 // Clone returns a deep copy of the pyramid: every band is copied into
 // fresh storage, so the clone outlives any reused buffers backing the
 // original (the serve layer's Result.Detach relies on this to hand out
