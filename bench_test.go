@@ -797,3 +797,22 @@ func BenchmarkParallelReconstruct2048(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkParallelDecompose2048 measures the worker-pool forward
+// transform on the scene workload's largest image: a 5-level
+// Daubechies-8 periodic decomposition of a 2048x2048 Landsat scene at 1
+// and 2 workers, each level one fused row-and-column sweep.
+func BenchmarkParallelDecompose2048(b *testing.B) {
+	im := image.Landsat(2048, 2048, 42)
+	bank := filter.Daubechies8()
+	for _, workers := range []int{1, 2} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := core.ParallelDecompose(im, bank, filter.Periodic, 5, workers); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

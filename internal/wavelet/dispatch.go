@@ -8,21 +8,12 @@ import (
 
 // Decompose runs the full multi-resolution algorithm of the paper's
 // Section 2. It auto-dispatches by bank and extension: supported
-// combinations go through the cache-blocked, arena-backed kernels of
-// internal/wavelet/kernel (bit-identical to the reference, see
-// DecomposeReference), anything else falls back to the reference path.
+// combinations go through the fused, arena-backed level sweep of
+// internal/wavelet/kernel (DecomposeRanges, bit-identical to the
+// reference, see DecomposeReference), anything else falls back to the
+// reference path.
 func Decompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels int) (*Pyramid, error) {
-	if err := CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
-		return nil, err
-	}
-	if !kernel.Supported(bank, ext) {
-		return DecomposeReference(im, bank, ext, levels)
-	}
-	p := NewPyramid(im.Rows, im.Cols, bank, ext, levels)
-	ar := kernel.GetArena()
-	decomposeFast(p, im, ar)
-	kernel.PutArena(ar)
-	return p, nil
+	return DecomposeTol(im, bank, ext, levels, 0)
 }
 
 // NewPyramid allocates the shell of a levels-deep decomposition of a
@@ -47,26 +38,90 @@ func NewPyramid(rows, cols int, bank *filter.Bank, ext filter.Extension, levels 
 	return p
 }
 
-// decomposeFast fills the preallocated pyramid p from im through the
-// kernel fast path, using ar for every intermediate. Only the detail
-// bands and the final approximation live in p; the per-level L/H images
-// and the intermediate LL chain stay inside the arena, so nothing is
-// allocated per level.
-func decomposeFast(p *Pyramid, im *image.Image, ar *kernel.Arena) {
+// DecomposeRanges is the one level driver behind Decompose,
+// DecomposeTol, Decomposer.Decompose and core.ParallelDecomposeTol; run
+// decides where each pass's ranges execute. It fills the preallocated
+// pyramid p (NewPyramid) from im, whose shape must already have passed
+// CheckDecomposable. With sch nil each level is one pass of the fused
+// convolution sweep (kernel.AnalyzeLevelRange) over output-row ranges,
+// bit-identical to DecomposeReference for any split; with a lifting
+// scheme each level runs the lifting tier's scatter row pass and then
+// its in-place column pass. Only the pyramid's bands are written: the
+// intermediate LL chain and the sweep scratch live in a pooled
+// kernel.Arena and in pooled per-range rings.
+func DecomposeRanges(p *Pyramid, im *image.Image, sch *filter.LiftingScheme, run RangeRunner) {
+	ar := kernel.GetArena()
+	s := &levelSweep{ar: ar, sch: sch}
+	s.body = s.sweep
+	s.decompose(p, im, run)
+	kernel.PutArena(ar)
+}
+
+// levelSweep is the state DecomposeRanges walks the pyramid with: the
+// scratch and tier of the whole transform, and the level its range body
+// is on.
+type levelSweep struct {
+	ar   *kernel.Arena
+	sch  *filter.LiftingScheme
+	body func(lo, hi int) // s.sweep, bound once so the walk never allocates
+
+	bank    *filter.Bank
+	ext     filter.Extension
+	src, ll *image.Image
+	d       *DetailBands
+	cols    bool // lifting tier: the column pass is running
+}
+
+// decompose runs every level of p through run. Level l writes its LL
+// into arena slot l%2 while reading the previous level's from the other
+// slot; the last level writes p.Approx.
+//
+//wavelint:hotpath
+func (s *levelSweep) decompose(p *Pyramid, im *image.Image, run RangeRunner) {
 	levels := len(p.Levels)
-	cur := im
+	s.bank, s.ext, s.src = p.Bank, p.Ext, im
 	for l := 0; l < levels; l++ {
-		rows, cols := cur.Rows, cur.Cols
-		li, hi := ar.Intermediate(rows, cols/2)
-		kernel.AnalyzeRowsRange(li, hi, cur, p.Bank, p.Ext, 0, rows)
-		d := &p.Levels[levels-1-l]
-		ll := p.Approx
+		rows, cols := s.src.Rows, s.src.Cols
+		s.d = &p.Levels[levels-1-l]
+		s.ll = p.Approx
 		if l < levels-1 {
-			ll = ar.LL(l%2, rows/2, cols/2)
+			s.ll = s.ar.LL(l%2, rows/2, cols/2)
 		}
-		kernel.AnalyzeColsRange(ll, d.LH, li, p.Bank, p.Ext, 0, cols/2)
-		kernel.AnalyzeColsRange(d.HL, d.HH, hi, p.Bank, p.Ext, 0, cols/2)
-		cur = ll
+		if s.sch == nil {
+			run(rows/2, s.body)
+		} else {
+			s.cols = false
+			run(rows, s.body)
+			s.cols = true
+			run(cols/2, s.body)
+		}
+		s.src = s.ll
+	}
+}
+
+// sweep is the range body of the current level and pass: output rows
+// of the fused convolution sweep, or source rows or columns of the
+// lifting tier. A convolution range that covers the whole level is the
+// only range of its pass and uses the arena's ring; split ranges may
+// run concurrently and take their own rings from the pool.
+//
+//wavelint:hotpath
+func (s *levelSweep) sweep(lo, hi int) {
+	d := s.d
+	switch {
+	case s.sch == nil:
+		if lo == 0 && hi == s.src.Rows/2 {
+			kernel.AnalyzeLevelRange(s.ll, d.LH, d.HL, d.HH, s.src, s.bank, s.ext, lo, hi, s.ar.Ring())
+			return
+		}
+		ring := kernel.GetRing()
+		kernel.AnalyzeLevelRange(s.ll, d.LH, d.HL, d.HH, s.src, s.bank, s.ext, lo, hi, ring)
+		kernel.PutRing(ring)
+	case s.cols:
+		kernel.LiftColsRange(s.ll, d.LH, s.sch, lo, hi)
+		kernel.LiftColsRange(d.HL, d.HH, s.sch, lo, hi)
+	default:
+		kernel.LiftRowsRange(s.ll, d.LH, d.HL, d.HH, s.src, s.sch, lo, hi)
 	}
 }
 
@@ -84,10 +139,10 @@ type Decomposer struct {
 	ar         kernel.Arena
 	p          *Pyramid
 	rows, cols int
-	// sch, when non-nil, routes Decompose through the lifting tier
-	// (resolved once by NewDecomposerTol; nil keeps the bit-identical
-	// convolution tier).
-	sch *filter.LiftingScheme
+	// sweep walks the pyramid on ar. Its lifting scheme, when non-nil,
+	// routes Decompose through the lifting tier (resolved once by
+	// NewDecomposerTol; nil keeps the bit-identical convolution tier).
+	sweep levelSweep
 }
 
 // NewDecomposer builds a reusable decomposer for the given bank,
@@ -108,13 +163,19 @@ func (d *Decomposer) Decompose(im *image.Image) (*Pyramid, error) {
 		return DecomposeReference(im, d.bank, d.ext, d.levels)
 	}
 	if d.p == nil || d.rows != im.Rows || d.cols != im.Cols {
-		d.p = NewPyramid(im.Rows, im.Cols, d.bank, d.ext, d.levels)
-		d.rows, d.cols = im.Rows, im.Cols
+		d.reset(im.Rows, im.Cols)
 	}
-	if d.sch != nil {
-		decomposeLifting(d.p, im, &d.ar, d.sch)
-	} else {
-		decomposeFast(d.p, im, &d.ar)
-	}
+	d.sweep.decompose(d.p, im, inline)
 	return d.p, nil
+}
+
+// reset sizes the decomposer for rows×cols images: a fresh output
+// pyramid, and the level sweep bound to the decomposer's own arena.
+//
+//wavelint:coldpath runs on the first call and on shape changes
+func (d *Decomposer) reset(rows, cols int) {
+	d.p = NewPyramid(rows, cols, d.bank, d.ext, d.levels)
+	d.rows, d.cols = rows, cols
+	d.sweep.ar = &d.ar
+	d.sweep.body = d.sweep.sweep
 }

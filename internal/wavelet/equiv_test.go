@@ -113,21 +113,31 @@ func TestDecomposerBitIdenticalAndReusable(t *testing.T) {
 }
 
 // TestDecomposerSteadyStateAllocs is the allocation gate of the fast
-// path: after warm-up, a full 3-level D8 decomposition through a
-// Decomposer performs zero heap allocations.
+// path: after warm-up, a full 3-level decomposition through a
+// Decomposer performs zero heap allocations — for D8 and haar (the
+// unrolled column combines), bior4.4 (odd length) and rbio4.4 (split
+// channel lengths), under periodic and symmetric extension.
 func TestDecomposerSteadyStateAllocs(t *testing.T) {
 	im := image.Landsat(128, 128, 42)
-	d := NewDecomposer(filter.Daubechies8(), filter.Periodic, 3)
-	if _, err := d.Decompose(im); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(10, func() {
-		if _, err := d.Decompose(im); err != nil {
+	for _, name := range []string{"db8", "haar", "bior4.4", "rbio4.4"} {
+		b, err := filter.ByName(name)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs > 0 {
-		t.Errorf("steady-state Decomposer allocates %.1f objects/op, want 0", allocs)
+		for _, ext := range []filter.Extension{filter.Periodic, filter.Symmetric} {
+			d := NewDecomposer(b, ext, 3)
+			if _, err := d.Decompose(im); err != nil {
+				t.Fatal(err)
+			}
+			allocs := testing.AllocsPerRun(10, func() {
+				if _, err := d.Decompose(im); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Errorf("%s/%s: steady-state Decomposer allocates %.1f objects/op, want 0", name, ext, allocs)
+			}
+		}
 	}
 }
 

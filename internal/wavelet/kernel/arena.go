@@ -6,19 +6,18 @@ import (
 	"wavelethpc/internal/image"
 )
 
-// Arena is the reusable scratch of one in-flight decomposition: backing
-// slabs for the intermediate L/H images of each level and a ping-pong
-// pair for the LL chain between levels. Buffers are sized once at the
-// top level (the deeper levels fit inside the same slabs) and grow only
-// when a larger image arrives, so steady-state decompositions allocate
-// nothing. An Arena is not safe for concurrent use by multiple
-// decompositions, but the images it hands out may be filled from many
+// Arena is the reusable scratch of one in-flight transform: a
+// ping-pong pair for the LL chain between levels and the Ring of the
+// fused analysis sweep when it runs as one range. Buffers are sized once
+// at the top level (the deeper levels fit inside the same slabs) and grow
+// only when a larger image arrives, so steady-state decompositions
+// allocate nothing. An Arena is not safe for concurrent use by multiple
+// transforms, but the images it hands out may be filled from many
 // goroutines over disjoint ranges.
 type Arena struct {
-	lBuf, hBuf []float64 // intermediate L/H backing
-	llBuf      [2][]float64
-	l, h       image.Image
-	ll         [2]image.Image
+	llBuf [2][]float64
+	ll    [2]image.Image
+	ring  Ring
 }
 
 // grow returns buf resized to n samples, reallocating only when the
@@ -36,16 +35,6 @@ func view(header *image.Image, buf []float64, rows, cols int) *image.Image {
 	return header
 }
 
-// Intermediate returns the two rows×cols scratch images holding the
-// row-pass outputs L and H of the current level. The returned images
-// alias the arena and are invalidated by the next Intermediate call.
-func (ar *Arena) Intermediate(rows, cols int) (l, h *image.Image) {
-	n := rows * cols
-	ar.lBuf = grow(ar.lBuf, n)
-	ar.hBuf = grow(ar.hBuf, n)
-	return view(&ar.l, ar.lBuf[:n], rows, cols), view(&ar.h, ar.hBuf[:n], rows, cols)
-}
-
 // LL returns the rows×cols scratch image holding an intermediate LL
 // band. Two slots ping-pong across levels: level l writes slot l%2 while
 // reading the previous level's LL from slot (l-1)%2.
@@ -54,6 +43,42 @@ func (ar *Arena) LL(slot, rows, cols int) *image.Image {
 	ar.llBuf[slot] = grow(ar.llBuf[slot], n)
 	return view(&ar.ll[slot], ar.llBuf[slot][:n], rows, cols)
 }
+
+// Ring returns the arena's AnalyzeLevelRange scratch, for a sweep that
+// covers a whole level on one goroutine.
+func (ar *Arena) Ring() *Ring { return &ar.ring }
+
+// Ring is the scratch of one AnalyzeLevelRange call: row slots for the
+// filtered L/H rows it keeps (each slot 2·n samples) and the tap table
+// of its column combine. It grows on demand and is reused across calls.
+type Ring struct {
+	buf  []float64
+	taps [][]float64
+}
+
+// reserve sizes the ring for slots slots of n-sample L/H row pairs and a
+// tap table of taps entries, and returns the slot storage. It is kept
+// out of line so its grow-on-demand allocations stay in this file.
+//
+//go:noinline
+func (r *Ring) reserve(slots, n, taps int) []float64 {
+	r.buf = grow(r.buf, 2*slots*n)
+	if cap(r.taps) < taps {
+		r.taps = make([][]float64, taps)
+	}
+	r.taps = r.taps[:taps]
+	return r.buf
+}
+
+// ringPool recycles the per-range rings of sweeps that split a level
+// across goroutines.
+var ringPool = sync.Pool{New: func() any { return new(Ring) }}
+
+// GetRing takes a ring from the shared pool.
+func GetRing() *Ring { return ringPool.Get().(*Ring) }
+
+// PutRing returns a ring to the shared pool.
+func PutRing(r *Ring) { ringPool.Put(r) }
 
 // arenaPool recycles arenas across decompositions; BatchDecompose
 // workers and repeated Decompose calls reach steady state with zero

@@ -1,15 +1,22 @@
-// Package kernel provides the fast-path convolution kernels behind the
-// shared-memory DWT: cache-blocked column filtering and synthesis,
-// unrolled row filters for the hot banks, and a pooled scratch arena
-// that eliminates per-level allocations.
+// Package kernel provides the fast-path kernels behind the
+// shared-memory DWT: the fused single-sweep analysis of one level,
+// unrolled row filters for the hot banks, panel-blocked synthesis, and
+// pooled scratch that eliminates per-level allocations.
 //
 // The paper's argument — and this package's reason to exist — is that
 // the Mallat transform's memory-access pattern, not its FLOP count,
 // decides performance on real machines. The reference implementation in
 // internal/wavelet column-filters by gathering one full stride-N column
-// at a time, touching a new cache line per element; the kernels here
-// instead walk narrow column panels row by row, so every touched cache
-// line contributes PanelWidth useful samples.
+// at a time, touching a new cache line per element. AnalyzeLevelRange
+// instead runs the whole level in one sweep over output rows: it
+// row-filters each source row it needs exactly once into a Ring of the
+// last F filtered L/H rows (F the longer analysis channel), keeps the
+// rows that border outputs reach by wrapping or reflecting below that
+// window in slots of their own, and column-filters every output row
+// from the ring with each coefficient accumulated in a register. No
+// full-size L/H intermediate is written or read back. The two-pass
+// AnalyzeRowsRange and AnalyzeColsRange (the latter walking narrow
+// column panels row by row) remain for the Walsh–Hadamard cascade.
 //
 // Bit-identity contract: every kernel performs, for each output
 // coefficient, exactly the same sequence of floating-point operations as
@@ -21,6 +28,14 @@
 // the reference path and the goldens of earlier PRs are preserved. The
 // equivalence tests in internal/wavelet enforce this with
 // math.Float64bits comparisons.
+//
+// The fused sweep keeps the contract because each ring row is exactly
+// the row AnalyzeRowsRange would have written to the intermediate (same
+// row kernel, same input), and each subband coefficient then starts at
+// zero and adds h[k]·row[2i+k] over the ring rows in ascending k, with
+// the reference interior/border split. Rows filtered twice — shared by
+// two output-row ranges, or held both in the window and in a wrapped
+// slot — are computed twice the same way.
 //
 // The synthesis kernels (SynthesizeColsRange, SynthesizeRowsRange) keep
 // the reference wavelet.SynthesizeStep order per output coefficient:

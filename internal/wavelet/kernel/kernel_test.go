@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -171,27 +172,81 @@ func TestRowsRangeSubrange(t *testing.T) {
 func TestArenaReuseAndGrowth(t *testing.T) {
 	ar := GetArena()
 	defer PutArena(ar)
-	l1, h1 := ar.Intermediate(64, 32)
+	l1 := ar.LL(0, 64, 32)
 	if l1.Rows != 64 || l1.Cols != 32 || l1.Stride != 32 {
-		t.Fatalf("intermediate shape %dx%d stride %d", l1.Rows, l1.Cols, l1.Stride)
+		t.Fatalf("LL shape %dx%d stride %d", l1.Rows, l1.Cols, l1.Stride)
 	}
 	p1 := &l1.Pix[0]
 	// A smaller request must reuse the same backing.
-	l2, _ := ar.Intermediate(32, 16)
-	if &l2.Pix[0] != p1 {
-		t.Error("smaller intermediate did not reuse backing")
+	if l2 := ar.LL(0, 32, 16); &l2.Pix[0] != p1 {
+		t.Error("smaller LL did not reuse backing")
 	}
 	// A larger request grows.
-	l3, h3 := ar.Intermediate(128, 64)
-	if len(l3.Pix) != 128*64 || len(h3.Pix) != 128*64 {
-		t.Error("grown intermediate has wrong size")
+	if l3 := ar.LL(0, 128, 64); len(l3.Pix) != 128*64 {
+		t.Error("grown LL has wrong size")
 	}
-	_ = h1
 	// Ping-pong slots are distinct buffers.
 	a := ar.LL(0, 16, 16)
 	b := ar.LL(1, 16, 16)
 	if &a.Pix[0] == &b.Pix[0] {
 		t.Error("LL ping-pong slots share backing")
+	}
+	// The ring keeps its slots when a smaller level follows.
+	r := ar.Ring()
+	buf := r.reserve(16, 64, 16)
+	if got := r.reserve(12, 32, 8); &got[0] != &buf[0] {
+		t.Error("smaller ring reservation did not reuse backing")
+	}
+}
+
+// TestAnalyzeLevelRangeBitIdentical checks the fused sweep against the
+// two-pass kernels it replaces, over every catalog bank (equal and
+// split channel lengths, odd lengths), every extension, shapes whose
+// level is shorter than the filter, and every split of the output rows
+// into ranges, each range on its own dirty ring.
+func TestAnalyzeLevelRangeBitIdentical(t *testing.T) {
+	exts := []filter.Extension{filter.Periodic, filter.Symmetric, filter.Zero, filter.Extension(99)}
+	shapes := [][2]int{{2, 4}, {4, 6}, {8, 2}, {14, 10}, {16, 16}, {26, 8}, {128, 4}}
+	for _, name := range filter.Names() {
+		b, err := filter.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ext := range exts {
+			for _, sh := range shapes {
+				rows, cols := sh[0], sh[1]
+				src := randImage(rows, cols, int64(rows*100+cols))
+				l, h := image.New(rows, cols/2), image.New(rows, cols/2)
+				AnalyzeRowsRange(l, h, src, b, ext, 0, rows)
+				want := [4]*image.Image{}
+				for k := range want {
+					want[k] = image.New(rows/2, cols/2)
+				}
+				AnalyzeColsRange(want[0], want[1], l, b, ext, 0, cols/2)
+				AnalyzeColsRange(want[2], want[3], h, b, ext, 0, cols/2)
+				for _, chunk := range []int{rows / 2, 3, 1} {
+					got := [4]*image.Image{}
+					for k := range got {
+						got[k] = image.New(rows/2, cols/2)
+						got[k].Fill(math.NaN())
+					}
+					for i0 := 0; i0 < rows/2; i0 += chunk {
+						ring := &Ring{}
+						dirty := ring.reserve(3*len(b.DecHi)+3*len(b.DecLo), cols, 1)
+						for k := range dirty {
+							dirty[k] = math.Inf(-1)
+						}
+						AnalyzeLevelRange(got[0], got[1], got[2], got[3], src, b, ext, i0, min(i0+chunk, rows/2), ring)
+					}
+					for k := range want {
+						for r := 0; r < rows/2; r++ {
+							requireBits(t, fmt.Sprintf("%s/%s/%dx%d/chunk%d/band%d/row%d", name, ext, rows, cols, chunk, k, r),
+								want[k].Row(r), got[k].Row(r))
+						}
+					}
+				}
+			}
+		}
 	}
 }
 

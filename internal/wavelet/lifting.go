@@ -47,42 +47,16 @@ func LiftingFor(bank *filter.Bank, ext filter.Extension, tol float64) *filter.Li
 // default included. DecomposeTol(im, bank, ext, levels, 0) ≡
 // Decompose(im, bank, ext, levels).
 func DecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extension, levels int, tol float64) (*Pyramid, error) {
-	sch := LiftingFor(bank, ext, tol)
-	if sch == nil {
-		return Decompose(im, bank, ext, levels)
-	}
 	if err := CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err
 	}
-	p := NewPyramid(im.Rows, im.Cols, bank, ext, levels)
-	ar := kernel.GetArena()
-	decomposeLifting(p, im, ar, sch)
-	kernel.PutArena(ar)
-	return p, nil
-}
-
-// decomposeLifting fills the preallocated pyramid from im through the
-// lifting tier: per level, one fused row sweep scatters the polyphase
-// outputs straight into the four subband images (no intermediate L/H
-// scratch at all — only the arena's LL ping-pong chain is used), then
-// two in-place column sweeps finish the level.
-//
-//wavelint:hotpath
-func decomposeLifting(p *Pyramid, im *image.Image, ar *kernel.Arena, sch *filter.LiftingScheme) {
-	levels := len(p.Levels)
-	cur := im
-	for l := 0; l < levels; l++ {
-		rows, cols := cur.Rows, cur.Cols
-		d := &p.Levels[levels-1-l]
-		ll := p.Approx
-		if l < levels-1 {
-			ll = ar.LL(l%2, rows/2, cols/2)
-		}
-		kernel.LiftRowsRange(ll, d.LH, d.HL, d.HH, cur, sch, 0, rows)
-		kernel.LiftColsRange(ll, d.LH, sch, 0, cols/2)
-		kernel.LiftColsRange(d.HL, d.HH, sch, 0, cols/2)
-		cur = ll
+	sch := LiftingFor(bank, ext, tol)
+	if sch == nil && !kernel.Supported(bank, ext) {
+		return DecomposeReference(im, bank, ext, levels)
 	}
+	p := NewPyramid(im.Rows, im.Cols, bank, ext, levels)
+	DecomposeRanges(p, im, sch, inline)
+	return p, nil
 }
 
 // NewDecomposerTol is NewDecomposer with a drift tolerance: the lifting
@@ -93,6 +67,6 @@ func decomposeLifting(p *Pyramid, im *image.Image, ar *kernel.Arena, sch *filter
 //wavelint:coldpath constructor, resolves the factorization once
 func NewDecomposerTol(bank *filter.Bank, ext filter.Extension, levels int, tol float64) *Decomposer {
 	d := NewDecomposer(bank, ext, levels)
-	d.sch = LiftingFor(bank, ext, tol)
+	d.sweep.sch = LiftingFor(bank, ext, tol)
 	return d
 }

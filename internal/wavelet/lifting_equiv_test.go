@@ -235,7 +235,7 @@ func TestDecomposerLiftingSteadyStateAllocs(t *testing.T) {
 		t.Fatal("db8 should admit lifting")
 	}
 	d := NewDecomposerTol(b, filter.Periodic, 3, sch.Eps)
-	if d.sch == nil {
+	if d.sweep.sch == nil {
 		t.Fatal("NewDecomposerTol at eps = scheme Eps did not resolve the lifting tier")
 	}
 	if _, err := d.Decompose(im); err != nil {
@@ -257,20 +257,20 @@ func TestDecomposerLiftingSteadyStateAllocs(t *testing.T) {
 // selects lifting.
 func TestNewDecomposerTolDispatch(t *testing.T) {
 	b := filter.Daubechies8()
-	if d := NewDecomposerTol(b, filter.Periodic, 2, 0); d.sch != nil {
+	if d := NewDecomposerTol(b, filter.Periodic, 2, 0); d.sweep.sch != nil {
 		t.Error("tol=0 resolved a lifting scheme")
 	}
-	if d := NewDecomposerTol(b, filter.Symmetric, 2, 1); d.sch != nil {
+	if d := NewDecomposerTol(b, filter.Symmetric, 2, 1); d.sweep.sch != nil {
 		t.Error("symmetric extension resolved a lifting scheme")
 	}
 	sym7, err := filter.ByName("sym7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := NewDecomposerTol(sym7, filter.Periodic, 2, 1); d.sch != nil {
+	if d := NewDecomposerTol(sym7, filter.Periodic, 2, 1); d.sweep.sch != nil {
 		t.Error("sym7 resolved a lifting scheme (its factorization is pinned degenerate)")
 	}
-	if d := NewDecomposerTol(b, filter.Periodic, 2, 1); d.sch == nil {
+	if d := NewDecomposerTol(b, filter.Periodic, 2, 1); d.sweep.sch == nil {
 		t.Error("db8/periodic/tol=1 did not resolve the lifting tier")
 	}
 }
