@@ -7,6 +7,7 @@ package wavelethpc
 // evaluation; cmd/exptables prints the full text tables.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -217,7 +218,7 @@ func BenchmarkParallelDecompose(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ParallelDecompose(im, bank, filter.Periodic, 1, workers); err != nil {
+				if _, err := core.ParallelDecomposeTol(im, bank, filter.Periodic, 1, workers, 0); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -755,7 +756,7 @@ func BenchmarkDecomposeBatch(b *testing.B) {
 	bank := filter.Daubechies8()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := core.DecomposeBatch(bands, bank, filter.Periodic, 1, 0); err != nil {
+		if _, err := core.DecomposeBatch(context.Background(), bands, bank, filter.Periodic, 1, 0, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -809,7 +810,7 @@ func BenchmarkParallelDecompose2048(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := core.ParallelDecompose(im, bank, filter.Periodic, 5, workers); err != nil {
+				if _, err := core.ParallelDecomposeTol(im, bank, filter.Periodic, 5, workers, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

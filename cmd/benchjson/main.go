@@ -257,7 +257,7 @@ func main() {
 	par4 := measure("ParallelDecompose512Workers4", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := core.ParallelDecompose(im, bank, filter.Periodic, levels, 4); err != nil {
+			if _, err := core.ParallelDecomposeTol(im, bank, filter.Periodic, levels, 4, 0); err != nil {
 				b.Fatal(err)
 			}
 		}

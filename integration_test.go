@@ -67,7 +67,7 @@ func TestEndToEndImagePipeline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pyr, err := core.ParallelDecompose(loaded, filter.Daubechies8(), filter.Periodic, 2, 4)
+	pyr, err := core.ParallelDecomposeTol(loaded, filter.Daubechies8(), filter.Periodic, 2, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestEndToEndSimulatorsAgreeOnCoefficients(t *testing.T) {
 	}
 	checks := map[string]func() (*wavelet.Pyramid, error){
 		"goroutines": func() (*wavelet.Pyramid, error) {
-			return core.ParallelDecompose(im, bank, filter.Periodic, levels, 3)
+			return core.ParallelDecomposeTol(im, bank, filter.Periodic, levels, 3, 0)
 		},
 		"mimd-striped": func() (*wavelet.Pyramid, error) {
 			res, err := core.DistributedDecompose(im, core.DistConfig{

@@ -23,43 +23,28 @@ type BatchResult struct {
 	Pyramids []*wavelet.Pyramid
 }
 
-// DecomposeBatch decomposes every image with the given bank and depth
-// using a pool of workers (0 = GOMAXPROCS). Outputs are order-preserving
-// and identical to calling wavelet.Decompose on each input. All images
-// must share dimensions decomposable to the requested depth; the first
-// offending image aborts the batch.
-func DecomposeBatch(images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*BatchResult, error) {
-	return DecomposeBatchCtx(context.Background(), images, bank, ext, levels, workers)
-}
-
-// DecomposeBatchTolCtx is DecomposeBatchCtx with a drift tolerance:
-// each image runs through wavelet.DecomposeTol, so the whole batch
-// rides the lifting tier when (bank, ext, tol) admit it and is
-// otherwise identical to DecomposeBatchCtx.
-func DecomposeBatchTolCtx(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
-	return decomposeBatch(ctx, images, bank, ext, levels, workers, tol)
-}
-
-// DecomposeBatchCtx is DecomposeBatch under a context: once ctx ends,
-// workers skip every image not yet started and the call returns the
-// context's error (images already in flight run to completion, so the
-// cancellation latency is one transform). The serve layer's
-// micro-batching uses this to honor deadlines between images.
-func DecomposeBatchCtx(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*BatchResult, error) {
-	return decomposeBatch(ctx, images, bank, ext, levels, workers, 0)
-}
-
-func decomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
+// DecomposeBatch decomposes every image with the given bank, depth and
+// drift tolerance using a pool of workers (0 = GOMAXPROCS). Outputs are
+// order-preserving and bit-identical to calling wavelet.DecomposeTol on
+// each input. All images must share dimensions decomposable to the
+// requested depth; the first offending image aborts the batch before
+// any work starts. Once ctx ends, workers skip every image not yet
+// started and the call returns the context's error (images already in
+// flight run to completion, so the cancellation latency is one
+// transform). The serve layer's micro-batching uses this to honor
+// deadlines between images.
+func DecomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
+	out := make([]*wavelet.Pyramid, len(images))
 	for i, im := range images {
 		if err := wavelet.CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 			return nil, fmt.Errorf("core: batch image %d: %w", i, err)
 		}
+		out[i] = wavelet.NewPyramid(im.Rows, im.Cols, bank, ext, levels)
 	}
-	out := make([]*wavelet.Pyramid, len(images))
-	errs := make([]error, len(images))
+	sch := wavelet.LiftingFor(bank, ext, tol)
 	var wg sync.WaitGroup
 	jobs := make(chan int)
 	if workers > len(images) {
@@ -70,11 +55,9 @@ func decomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Ban
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				if ctx.Err() != nil {
-					errs[i] = ctx.Err()
-					continue
+				if ctx.Err() == nil {
+					wavelet.DecomposeRanges(out[i], images[i], sch, whole)
 				}
-				out[i], errs[i] = wavelet.DecomposeTol(images[i], bank, ext, levels, tol)
 			}
 		}()
 	}
@@ -86,13 +69,12 @@ func decomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Ban
 	if err := ctx.Err(); err != nil {
 		return nil, fmt.Errorf("core: batch canceled: %w", err)
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("core: batch image %d: %w", i, err)
-		}
-	}
 	return &BatchResult{Pyramids: out}, nil
 }
+
+// whole is the sequential wavelet.RangeRunner a batch worker drives its
+// image with: each pass is one range on the worker's own goroutine.
+func whole(n int, fn func(lo, hi int)) { fn(0, n) }
 
 // BandEnergyProfile summarizes a multi-band decomposition: per band, the
 // fraction of energy captured by the approximation subband — the

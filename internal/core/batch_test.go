@@ -13,7 +13,7 @@ import (
 func TestDecomposeBatchMatchesIndividual(t *testing.T) {
 	bands := image.LandsatBands(64, 64, 7, 3)
 	for _, workers := range []int{0, 1, 3, 16} {
-		res, err := DecomposeBatch(bands, filter.Daubechies8(), filter.Periodic, 2, workers)
+		res, err := DecomposeBatch(context.Background(), bands, filter.Daubechies8(), filter.Periodic, 2, workers, 0)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -30,7 +30,7 @@ func TestDecomposeBatchMatchesIndividual(t *testing.T) {
 }
 
 func TestDecomposeBatchEmpty(t *testing.T) {
-	res, err := DecomposeBatch(nil, filter.Haar(), filter.Periodic, 1, 4)
+	res, err := DecomposeBatch(context.Background(), nil, filter.Haar(), filter.Periodic, 1, 4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,14 +41,14 @@ func TestDecomposeBatchEmpty(t *testing.T) {
 
 func TestDecomposeBatchValidatesUpFront(t *testing.T) {
 	images := []*image.Image{image.New(64, 64), image.New(60, 64)}
-	if _, err := DecomposeBatch(images, filter.Haar(), filter.Periodic, 3, 2); err == nil {
+	if _, err := DecomposeBatch(context.Background(), images, filter.Haar(), filter.Periodic, 3, 2, 0); err == nil {
 		t.Error("undecomposable image accepted")
 	}
 }
 
 func TestBandEnergyProfile(t *testing.T) {
 	bands := image.LandsatBands(64, 64, 4, 9)
-	res, err := DecomposeBatch(bands, filter.Daubechies8(), filter.Periodic, 3, 2)
+	res, err := DecomposeBatch(context.Background(), bands, filter.Daubechies8(), filter.Periodic, 3, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,18 +68,23 @@ func TestDecomposeBatchCtxCancel(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	bands := image.LandsatBands(64, 64, 4, 5)
-	if _, err := DecomposeBatchCtx(ctx, bands, filter.Haar(), filter.Periodic, 2, 2); !errors.Is(err, context.Canceled) {
+	if _, err := DecomposeBatch(ctx, bands, filter.Haar(), filter.Periodic, 2, 2, 0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 
+// TestDecomposeBatchCtxMatchesBackground: a live context that never
+// ends leaves the batch Float64bits-identical to one run under
+// context.Background.
 func TestDecomposeBatchCtxMatchesBackground(t *testing.T) {
 	bands := image.LandsatBands(32, 32, 3, 8)
-	plain, err := DecomposeBatch(bands, filter.Daubechies4(), filter.Periodic, 2, 2)
+	plain, err := DecomposeBatch(context.Background(), bands, filter.Daubechies4(), filter.Periodic, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctxed, err := DecomposeBatchCtx(context.Background(), bands, filter.Daubechies4(), filter.Periodic, 2, 2)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	ctxed, err := DecomposeBatch(ctx, bands, filter.Daubechies4(), filter.Periodic, 2, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -127,7 +127,7 @@ func TestParallelDecomposeBiorthogonal(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 3, 8} {
-		par, err := ParallelDecompose(im, bank, filter.Periodic, 3, workers)
+		par, err := ParallelDecomposeTol(im, bank, filter.Periodic, 3, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

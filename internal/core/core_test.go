@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"strings"
 	"testing"
@@ -35,7 +36,7 @@ func TestParallelDecomposeMatchesSequential(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{1, 2, 3, 7, 16} {
-			par, err := ParallelDecompose(im, bank, filter.Periodic, 3, workers)
+			par, err := ParallelDecomposeTol(im, bank, filter.Periodic, 3, workers, 0)
 			if err != nil {
 				t.Fatalf("workers=%d: %v", workers, err)
 			}
@@ -48,7 +49,7 @@ func TestParallelDecomposeMatchesSequential(t *testing.T) {
 
 func TestParallelDecomposeDefaultWorkers(t *testing.T) {
 	im := testImage()
-	p, err := ParallelDecompose(im, filter.Haar(), filter.Periodic, 2, 0)
+	p, err := ParallelDecomposeTol(im, filter.Haar(), filter.Periodic, 2, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,15 +60,43 @@ func TestParallelDecomposeDefaultWorkers(t *testing.T) {
 }
 
 func TestParallelDecomposeRejectsBadShapes(t *testing.T) {
-	if _, err := ParallelDecompose(image.New(100, 128), filter.Haar(), filter.Periodic, 3, 2); err == nil {
+	if _, err := ParallelDecomposeTol(image.New(100, 128), filter.Haar(), filter.Periodic, 3, 2, 0); err == nil {
 		t.Error("100 rows accepted for 3 levels")
+	}
+}
+
+// TestForwardRejectsEmptyBank: a bank without analysis filters panics
+// with a *wavelet.UsageError on the calling goroutine, before any range
+// reaches a pool worker, where it would divide by the zero filter length
+// and kill the process.
+func TestForwardRejectsEmptyBank(t *testing.T) {
+	im := testImage()
+	for _, tc := range []struct {
+		label string
+		fn    func()
+	}{
+		{"ParallelDecomposeTol/w1", func() { ParallelDecomposeTol(im, &filter.Bank{}, filter.Periodic, 2, 1, 0) }},
+		{"ParallelDecomposeTol/w2", func() { ParallelDecomposeTol(im, &filter.Bank{Name: "empty"}, filter.Periodic, 2, 2, 0) }},
+		{"ParallelDecomposeTol/nil", func() { ParallelDecomposeTol(im, nil, filter.Periodic, 2, 2, 1) }},
+		{"DecomposeBatch", func() {
+			DecomposeBatch(context.Background(), []*image.Image{im, im}, &filter.Bank{}, filter.Periodic, 2, 2, 0)
+		}},
+	} {
+		func() {
+			defer func() {
+				if _, ok := recover().(*wavelet.UsageError); !ok {
+					t.Errorf("%s: want a recoverable *wavelet.UsageError panic", tc.label)
+				}
+			}()
+			tc.fn()
+		}()
 	}
 }
 
 func TestParallelReconstructRoundTrip(t *testing.T) {
 	im := testImage()
 	for _, workers := range []int{1, 4} {
-		p, err := ParallelDecompose(im, filter.Daubechies4(), filter.Periodic, 3, workers)
+		p, err := ParallelDecomposeTol(im, filter.Daubechies4(), filter.Periodic, 3, workers, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,7 +142,7 @@ func TestParallelLiftingDeterministicInWorkers(t *testing.T) {
 		stressPyramidsBitIdentical(t, "workers", seq, p)
 	}
 	// Batch rides the same tier.
-	res, err := DecomposeBatchTolCtx(context.Background(), []*image.Image{im, im}, bank, filter.Periodic, 4, 2, sch.Eps)
+	res, err := DecomposeBatch(context.Background(), []*image.Image{im, im}, bank, filter.Periodic, 4, 2, sch.Eps)
 	if err != nil {
 		t.Fatal(err)
 	}

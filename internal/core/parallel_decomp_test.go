@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"hash/fnv"
@@ -33,7 +34,8 @@ func requirePyramidsBitIdentical(t *testing.T, label string, want, got *wavelet.
 // requireForwardEquiv checks every forward entry point at tol 0 against
 // wavelet.DecomposeReference on one input: ParallelDecomposeTol at 1, 2
 // and 3 workers and with one worker more than the image has rows,
-// wavelet.Decompose, and the reused decomposer d.
+// wavelet.Decompose, the reused decomposer d, and a two-image
+// DecomposeBatch.
 func requireForwardEquiv(t *testing.T, label string, im *image.Image, bank *filter.Bank, ext filter.Extension, levels int, d *wavelet.Decomposer) {
 	t.Helper()
 	want, err := wavelet.DecomposeReference(im, bank, ext, levels)
@@ -57,6 +59,13 @@ func requireForwardEquiv(t *testing.T, label string, im *image.Image, bank *filt
 		t.Fatal(err)
 	}
 	requirePyramidsBitIdentical(t, label+"/Decomposer", want, got)
+	res, err := DecomposeBatch(context.Background(), []*image.Image{im, im}, bank, ext, levels, 2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, got := range res.Pyramids {
+		requirePyramidsBitIdentical(t, fmt.Sprintf("%s/DecomposeBatch/%d", label, i), want, got)
+	}
 }
 
 // TestParallelDecomposeBitIdentical: the fused forward sweep matches
@@ -196,7 +205,7 @@ func TestParallelDecomposeAllocBytes(t *testing.T) {
 	im := image.Landsat(n, n, 42)
 	bank := filter.Daubechies8()
 	decompose := func() {
-		if _, err := ParallelDecompose(im, bank, filter.Periodic, levels, workers); err != nil {
+		if _, err := ParallelDecomposeTol(im, bank, filter.Periodic, levels, workers, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -218,7 +227,37 @@ func TestParallelDecomposeAllocBytes(t *testing.T) {
 	pyramid := uint64(8 * n * n)
 	ring := uint64(8 * 2 * f * n)
 	if limit := pyramid + workers*ring + 16<<10; fewest > limit {
-		t.Errorf("ParallelDecompose allocates %d bytes, want <= %d (pyramid <= %d, ring %d)", fewest, limit, pyramid, ring)
+		t.Errorf("ParallelDecomposeTol allocates %d bytes, want <= %d (pyramid <= %d, ring %d)", fewest, limit, pyramid, ring)
+	}
+}
+
+// TestDecomposeBatchAllocBytes: a batch allocates each image's retained
+// pyramid bands and a fixed handful of bookkeeping (result slice,
+// channel, worker closures); arenas and rings come from the shared
+// kernel pools.
+func TestDecomposeBatchAllocBytes(t *testing.T) {
+	const n, levels, workers, images = 256, 5, 2, 4
+	batch := image.LandsatBands(n, n, images, 42)
+	bank := filter.Daubechies8()
+	decompose := func() {
+		if _, err := DecomposeBatch(context.Background(), batch, bank, filter.Periodic, levels, workers, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	decompose()
+	var fewest uint64 = math.MaxUint64
+	var before, after runtime.MemStats
+	for i := 0; i < 10; i++ {
+		runtime.ReadMemStats(&before)
+		decompose()
+		runtime.ReadMemStats(&after)
+		fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
+	}
+	// Each pyramid holds n²(1-4^-levels) coefficients.
+	pyramid := uint64(8 * n * n)
+	if limit := images*pyramid + 16<<10; fewest > limit {
+		t.Errorf("DecomposeBatch allocates %d bytes, want <= %d (%d pyramids <= %d each)", fewest, limit, images, pyramid)
 	}
 }
 

@@ -3,7 +3,7 @@ package core
 import "sync"
 
 // workerPool is a persistent set of goroutines fed contiguous index
-// ranges over a channel. ParallelDecompose and ParallelReconstruct keep
+// ranges over a channel. ParallelDecomposeTol and ParallelReconstruct keep
 // one pool alive across all levels of a transform instead of spawning
 // (and joining) a fresh goroutine set per level and per pass — at the
 // deeper levels a pass is tens of microseconds, where goroutine startup

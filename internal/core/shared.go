@@ -21,29 +21,21 @@ import (
 	"wavelethpc/internal/wavelet"
 )
 
-// ParallelDecompose performs a levels-deep Mallat decomposition of im
-// using the given number of worker goroutines (0 means GOMAXPROCS). The
-// result is bit-identical to wavelet.Decompose regardless of worker
-// count: it runs wavelet.DecomposeRanges, the level driver behind
-// wavelet.Decompose, on a persistent pool (one goroutine set for the
-// whole transform) that hands each worker a range of a level's output
-// rows for the fused row-and-column sweep. Every range is filtered by
-// the same internal/wavelet/kernel code the sequential path uses, and
-// its scratch comes from the shared kernel pools, so only the retained
-// pyramid bands are allocated.
-func ParallelDecompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int) (*wavelet.Pyramid, error) {
-	return ParallelDecomposeTol(im, bank, ext, levels, workers, 0)
-}
-
-// ParallelDecomposeTol is ParallelDecompose with a drift tolerance: when
-// (bank, ext, tol) admit the lifting tier (wavelet.LiftingFor), each
-// level runs the fused lifting sweeps — one scatter row pass, then the
-// in-place column pass over disjoint panels — on the same worker pool.
-// Both tiers are deterministic in the worker count: every range writes
-// its own output rows or columns and computes them in the sequential
-// order, so the parallel output is bit-identical to the corresponding
-// sequential tier (wavelet.DecomposeTol), and with tol = 0 to
-// wavelet.Decompose.
+// ParallelDecomposeTol performs a levels-deep Mallat decomposition of
+// im using the given number of worker goroutines (0 means GOMAXPROCS).
+// It runs wavelet.DecomposeRanges, the level driver behind
+// wavelet.DecomposeTol, on a persistent pool (one goroutine set for the
+// whole transform) under the tier wavelet.LiftingFor picks. On the
+// fused convolution tier each worker gets a range of a level's output
+// rows for the row-and-column sweep; on the lifting tier (a tolerance
+// that covers the bank's scheme, periodic extension) each level runs one
+// scatter row pass and then the in-place column pass over disjoint
+// panels. Every range writes its own outputs and computes them in the
+// sequential order with the same internal/wavelet/kernel code, so the
+// result is bit-identical to wavelet.DecomposeTol regardless of worker
+// count, and with tol = 0 to wavelet.Decompose. Range scratch comes from
+// the shared kernel pools, so only the retained pyramid bands are
+// allocated.
 func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*wavelet.Pyramid, error) {
 	if err := wavelet.CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err
@@ -58,7 +50,7 @@ func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extensi
 	return p, nil
 }
 
-// ParallelReconstruct inverts ParallelDecompose with the given worker
+// ParallelReconstruct inverts ParallelDecomposeTol with the given worker
 // count (0 means GOMAXPROCS). It runs wavelet.ReconstructRanges — the
 // level driver behind wavelet.Reconstruct — on one persistent pool that
 // serves every level, handing out column ranges for the panel-blocked

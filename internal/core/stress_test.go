@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"sync"
 	"testing"
@@ -10,7 +11,7 @@ import (
 	"wavelethpc/internal/wavelet"
 )
 
-// Concurrency stress: many goroutines run ParallelDecompose and
+// Concurrency stress: many goroutines run ParallelDecomposeTol and
 // DecomposeBatch at once, all drawing scratch from the shared kernel
 // arena pool. Under -race this proves the pool hands each transform a
 // private arena; the bitwise check proves no transform ever observes
@@ -67,7 +68,7 @@ func TestConcurrentDecomposeStress(t *testing.T) {
 			for it := 0; it < iterations; it++ {
 				switch (g + it) % 3 {
 				case 0:
-					p, err := ParallelDecompose(images[g], bank, ext, levels, 3)
+					p, err := ParallelDecomposeTol(images[g], bank, ext, levels, 3, 0)
 					if err != nil {
 						t.Error(err)
 						return
@@ -81,7 +82,7 @@ func TestConcurrentDecomposeStress(t *testing.T) {
 					}
 					stressPyramidsBitIdentical(t, "fast", refs[g], p)
 				default:
-					res, err := DecomposeBatch(images, bank, ext, levels, 2)
+					res, err := DecomposeBatch(context.Background(), images, bank, ext, levels, 2, 0)
 					if err != nil {
 						t.Error(err)
 						return

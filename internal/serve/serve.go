@@ -439,7 +439,7 @@ func (s *Server) executeBatch(group []*job) {
 
 func (s *Server) decomposeBatch(images []*image.Image, bank *filter.Bank, levels int, tol float64) (br *core.BatchResult, err error) {
 	defer recoverToError(&err)
-	return core.DecomposeBatchTolCtx(context.Background(), images, bank, s.cfg.Extension, levels, s.cfg.BatchWorkers, tol)
+	return core.DecomposeBatch(context.Background(), images, bank, s.cfg.Extension, levels, s.cfg.BatchWorkers, tol)
 }
 
 // decompose shields the serve boundary: a *wavelet.UsageError panic

@@ -410,8 +410,9 @@ func TestConfigAndRequestValidation(t *testing.T) {
 	cases := []Request{
 		{}, // nil image
 		{Image: image.Landsat(16, 16, 1), Levels: -1},
-		{Image: image.Landsat(10, 10, 1)},            // not decomposable to 2 levels
-		{Image: image.Landsat(16, 16, 1), Levels: 9}, // too deep
+		{Image: image.Landsat(10, 10, 1)},                       // not decomposable to 2 levels
+		{Image: image.Landsat(16, 16, 1), Levels: 9},            // too deep
+		{Image: image.Landsat(16, 16, 1), Bank: &filter.Bank{}}, // no analysis filters
 	}
 	for i, req := range cases {
 		_, err := s.Do(context.Background(), req)

@@ -7,11 +7,9 @@ import (
 )
 
 // Decompose runs the full multi-resolution algorithm of the paper's
-// Section 2. It auto-dispatches by bank and extension: supported
-// combinations go through the fused, arena-backed level sweep of
-// internal/wavelet/kernel (DecomposeRanges, bit-identical to the
-// reference, see DecomposeReference), anything else falls back to the
-// reference path.
+// Section 2 through the fused, arena-backed level sweep of
+// internal/wavelet/kernel (DecomposeRanges). Every bank and extension
+// takes this path, bit-identical to DecomposeReference.
 func Decompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels int) (*Pyramid, error) {
 	return DecomposeTol(im, bank, ext, levels, 0)
 }
@@ -20,10 +18,18 @@ func Decompose(im *image.Image, bank *filter.Bank, ext filter.Extension, levels 
 // rows×cols image: zeroed detail bands (coarsest-first, the Levels
 // convention) and approximation, ready to be filled in place by the
 // fast-path kernels or the parallel drivers in internal/core. The
-// dimensions must already be decomposable.
+// dimensions must already be decomposable. Every forward entry point
+// allocates its pyramid here on the calling goroutine before any range
+// runs, so NewPyramid is where a bank without both analysis channels is
+// rejected: it panics with a *UsageError (the forward twin of
+// CheckReconstructable) instead of faulting inside a kernel or a pool
+// worker.
 //
 //wavelint:coldpath allocating constructor, runs only on first use or shape change
 func NewPyramid(rows, cols int, bank *filter.Bank, ext filter.Extension, levels int) *Pyramid {
+	if bank == nil || len(bank.DecLo) == 0 || len(bank.DecHi) == 0 {
+		panic(usage("Decompose", "Decompose needs a bank with both analysis filters"))
+	}
 	p := &Pyramid{Bank: bank, Ext: ext, Levels: make([]DetailBands, levels)}
 	for l := 0; l < levels; l++ {
 		rows /= 2
@@ -153,14 +159,10 @@ func NewDecomposer(bank *filter.Bank, ext filter.Extension, levels int) *Decompo
 
 // Decompose decomposes im, reusing the decomposer's buffers. The first
 // call (and any call after a shape change) sizes them; subsequent calls
-// are allocation-free. Unsupported bank/extension combinations fall back
-// to the allocating reference path.
+// are allocation-free.
 func (d *Decomposer) Decompose(im *image.Image) (*Pyramid, error) {
 	if err := CheckDecomposable(im.Rows, im.Cols, d.levels); err != nil {
 		return nil, err
-	}
-	if !kernel.Supported(d.bank, d.ext) {
-		return DecomposeReference(im, d.bank, d.ext, d.levels)
 	}
 	if d.p == nil || d.rows != im.Rows || d.cols != im.Cols {
 		d.reset(im.Rows, im.Cols)

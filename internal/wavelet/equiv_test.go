@@ -156,10 +156,12 @@ func TestDecomposeErrorsMatchReference(t *testing.T) {
 	}
 }
 
-// TestUnknownExtensionFallsBack pins the dispatch rule: an extension
-// value outside the known set must still decompose (via the reference
-// path) and reconstruct, not panic in a specialized kernel.
-func TestUnknownExtensionFallsBack(t *testing.T) {
+// TestUnknownExtensionFusedMatchesReference pins the fused path on an
+// extension value outside the known set: Decompose runs it through the
+// same kernels as every other extension (borders resolve through
+// Extension.Index, as in the reference) and must match
+// DecomposeReference bit for bit, not panic in a specialized kernel.
+func TestUnknownExtensionFusedMatchesReference(t *testing.T) {
 	im := image.Landsat(16, 16, 3)
 	ext := filter.Extension(99)
 	ref, err := DecomposeReference(im, filter.Haar(), ext, 1)
@@ -171,6 +173,18 @@ func TestUnknownExtensionFallsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	requirePyramidsBitIdentical(t, "unknown-ext", ref, got)
+}
+
+// TestDecomposeRejectsEmptyBank: every sequential forward entry panics
+// with a *UsageError on a bank missing an analysis channel, instead of
+// indexing or dividing by its zero length inside a kernel.
+func TestDecomposeRejectsEmptyBank(t *testing.T) {
+	im := image.Landsat(16, 16, 3)
+	for _, b := range []*filter.Bank{nil, {Name: "empty"}, {Name: "lo only", DecLo: filter.Haar().DecLo}} {
+		requireUsagePanic(t, "Decompose", "Decompose", func() { Decompose(im, b, filter.Periodic, 2) })
+		requireUsagePanic(t, "DecomposeTol", "Decompose", func() { DecomposeTol(im, b, filter.Periodic, 2, 1) })
+		requireUsagePanic(t, "Decomposer", "Decompose", func() { NewDecomposer(b, filter.Periodic, 2).Decompose(im) })
+	}
 }
 
 // TestAnalyzeRowsTypedPanic pins the PR 3 typed-error contract on the

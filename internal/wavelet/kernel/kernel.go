@@ -52,30 +52,9 @@
 // wavelet package checks before dispatching here.
 package kernel
 
-import (
-	"wavelethpc/internal/filter"
-)
-
 // PanelWidth is the column-panel width of the blocked column pass, in
 // float64 samples: 64 samples = 512 bytes = 8 cache lines per touched
 // row, small enough that one panel's working set (filter-length rows
 // plus two destination rows) stays resident in L1 across the overlapping
 // filter supports of consecutive output rows.
 const PanelWidth = 64
-
-// Supported reports whether the fast path may be dispatched for the
-// bank/extension pair. All in-tree extensions are supported for any
-// bank with non-empty analysis filters — the channels may have
-// different lengths (biorthogonal banks); unknown extension values fall
-// back to the reference path, which is the behavioral source of truth.
-func Supported(bank *filter.Bank, ext filter.Extension) bool {
-	if bank == nil || len(bank.DecLo) == 0 || len(bank.DecHi) == 0 {
-		return false
-	}
-	switch ext {
-	case filter.Periodic, filter.Symmetric, filter.Zero:
-		return true
-	default:
-		return false
-	}
-}

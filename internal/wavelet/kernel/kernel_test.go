@@ -249,22 +249,3 @@ func TestAnalyzeLevelRangeBitIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestSupported pins the dispatch predicate.
-func TestSupported(t *testing.T) {
-	if !Supported(filter.Daubechies8(), filter.Periodic) {
-		t.Error("db8/periodic unsupported")
-	}
-	if !Supported(filter.Haar(), filter.Zero) {
-		t.Error("haar/zero unsupported")
-	}
-	if Supported(filter.Haar(), filter.Extension(42)) {
-		t.Error("unknown extension claimed supported")
-	}
-	if Supported(nil, filter.Periodic) {
-		t.Error("nil bank claimed supported")
-	}
-	if Supported(&filter.Bank{Name: "empty"}, filter.Periodic) {
-		t.Error("empty bank claimed supported")
-	}
-}

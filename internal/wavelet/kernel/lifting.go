@@ -26,7 +26,7 @@ import (
 
 // maxLiftTaps bounds the taps of a single lifting step the column kernel
 // can execute with a fixed row-segment window. Catalog schemes stay well
-// under it (longest is 4); LiftingSupported rejects anything longer.
+// under it (longest is 4); LiftingScheme rejects anything longer.
 const maxLiftTaps = 8
 
 // maxLiftShift bounds the |monomial shift| the single-pass
@@ -34,22 +34,6 @@ const maxLiftTaps = 8
 // fall back to the three-reversal rotation. Catalog schemes top out at 7
 // (sym8's detail channel).
 const maxLiftShift = 8
-
-// LiftingSupported reports whether the lifting tier can serve the
-// bank/extension pair: periodic extension (the only extension under
-// which the polyphase factorization equals convolution — Laurent
-// identities hold in the quotient ring mod z^half−1, i.e. on circular
-// signals) and a bank whose factorization succeeded with steps the
-// column kernel can run. Everything else stays on the convolution tier.
-//
-//wavelint:coldpath dispatch predicate, runs once per transform and resolves a cached factorization
-func LiftingSupported(bank *filter.Bank, ext filter.Extension) bool {
-	if ext != filter.Periodic {
-		return false
-	}
-	_, err := LiftingScheme(bank)
-	return err == nil
-}
 
 // LiftingScheme resolves the bank's lifting scheme, additionally
 // enforcing the kernel-side step-width bound.

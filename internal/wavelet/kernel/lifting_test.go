@@ -22,29 +22,6 @@ func liftBanks(t *testing.T) []*filter.Bank {
 	return out
 }
 
-// TestLiftingSupportedPredicate pins the dispatch predicate: lifting is
-// periodic-only (the factorization is a circular-convolution identity),
-// and banks whose factorization degenerates (sym7) stay on convolution.
-func TestLiftingSupportedPredicate(t *testing.T) {
-	db8 := filter.Daubechies8()
-	if !LiftingSupported(db8, filter.Periodic) {
-		t.Error("db8/periodic: lifting should be supported")
-	}
-	if LiftingSupported(db8, filter.Symmetric) || LiftingSupported(db8, filter.Zero) {
-		t.Error("lifting claimed support for a non-periodic extension")
-	}
-	if LiftingSupported(nil, filter.Periodic) {
-		t.Error("nil bank claimed supported")
-	}
-	sym7, err := filter.ByName("sym7")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if LiftingSupported(sym7, filter.Periodic) {
-		t.Error("sym7 factorization is pinned degenerate in internal/filter; LiftingSupported must be false")
-	}
-}
-
 // TestLiftRowsRangeMatchesReference: the fused row pass must be
 // bit-identical to filter.ApplyLifting1D on every row — blocking and
 // scattering reorder work across coefficients, never within one.
@@ -116,7 +93,7 @@ func TestLiftColsRangeMatchesReference(t *testing.T) {
 }
 
 // TestLiftRangesDisjoint: split row and column ranges must reproduce the
-// full-range results exactly — the property core.ParallelDecompose
+// full-range results exactly — the property core.ParallelDecomposeTol
 // relies on for lock-free fan-out.
 func TestLiftRangesDisjoint(t *testing.T) {
 	b := filter.Daubechies8()

@@ -6,10 +6,10 @@ import (
 	"wavelethpc/internal/wavelet/kernel"
 )
 
-// Tolerance-gated lifting dispatch. The transform has three tiers:
+// Tolerance-gated lifting dispatch. The forward transform has two tiers,
+// and LiftingFor is the one rule that picks between them:
 //
-//	reference            unsupported bank/extension combinations
-//	fused convolution    the default — bit-identical to reference (§11)
+//	fused convolution    the default — bit-identical to the reference (§11)
 //	lifting              opt-in via a drift tolerance, periodic only
 //
 // The lifting tier halves the arithmetic by running the bank's factored
@@ -19,12 +19,12 @@ import (
 // must state the drift they will accept, and the tier engages only when
 // that tolerance covers the scheme's advertised Eps. A tolerance of 0 —
 // or any combination the lifting tier cannot serve exactly (non-periodic
-// extension, a bank whose factorization degenerates) — falls back to the
+// extension, a bank whose factorization degenerates) — stays on the
 // convolution tier, keeping every golden digest bit-identical.
 
 // LiftingFor returns the lifting scheme the tolerance-gated tier would
-// use for the combination, or nil when the convolution (or reference)
-// tier must serve it: tol must exceed 0 and cover the scheme's Eps, the
+// use for the combination, or nil when the fused convolution tier
+// serves it: tol must exceed 0 and cover the scheme's Eps, the
 // extension must be Periodic (the polyphase factorization is an identity
 // of circular convolution only), and the bank must factor. NaN and
 // negative tolerances never dispatch lifting.
@@ -50,12 +50,8 @@ func DecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extension, leve
 	if err := CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err
 	}
-	sch := LiftingFor(bank, ext, tol)
-	if sch == nil && !kernel.Supported(bank, ext) {
-		return DecomposeReference(im, bank, ext, levels)
-	}
 	p := NewPyramid(im.Rows, im.Cols, bank, ext, levels)
-	DecomposeRanges(p, im, sch, inline)
+	DecomposeRanges(p, im, LiftingFor(bank, ext, tol), inline)
 	return p, nil
 }
 

@@ -251,27 +251,36 @@ func TestDecomposerLiftingSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestNewDecomposerTolDispatch pins the constructor's tier resolution:
-// tolerance 0, non-periodic extensions, and unfactorable banks keep the
-// convolution tier; a covering tolerance under periodic extension
-// selects lifting.
+// TestNewDecomposerTolDispatch pins the constructor's tier resolution,
+// which is LiftingFor's rule: tolerance 0, non-periodic extensions,
+// unfactorable banks and a nil bank keep the convolution tier; a
+// covering tolerance under periodic extension selects lifting.
 func TestNewDecomposerTolDispatch(t *testing.T) {
-	b := filter.Daubechies8()
-	if d := NewDecomposerTol(b, filter.Periodic, 2, 0); d.sweep.sch != nil {
-		t.Error("tol=0 resolved a lifting scheme")
-	}
-	if d := NewDecomposerTol(b, filter.Symmetric, 2, 1); d.sweep.sch != nil {
-		t.Error("symmetric extension resolved a lifting scheme")
-	}
+	db8 := filter.Daubechies8()
 	sym7, err := filter.ByName("sym7")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := NewDecomposerTol(sym7, filter.Periodic, 2, 1); d.sweep.sch != nil {
-		t.Error("sym7 resolved a lifting scheme (its factorization is pinned degenerate)")
-	}
-	if d := NewDecomposerTol(b, filter.Periodic, 2, 1); d.sweep.sch == nil {
-		t.Error("db8/periodic/tol=1 did not resolve the lifting tier")
+	for _, c := range []struct {
+		name    string
+		bank    *filter.Bank
+		ext     filter.Extension
+		tol     float64
+		lifting bool
+	}{
+		{"tol=0", db8, filter.Periodic, 0, false},
+		{"symmetric", db8, filter.Symmetric, 1, false},
+		{"zero", db8, filter.Zero, 1, false},
+		{"sym7 (factorization pinned degenerate)", sym7, filter.Periodic, 1, false},
+		{"nil bank", nil, filter.Periodic, 1, false},
+		{"db8/periodic/tol=1", db8, filter.Periodic, 1, true},
+	} {
+		if got := NewDecomposerTol(c.bank, c.ext, 2, c.tol).sweep.sch != nil; got != c.lifting {
+			t.Errorf("%s: lifting tier = %v, want %v", c.name, got, c.lifting)
+		}
+		if got := LiftingFor(c.bank, c.ext, c.tol) != nil; got != c.lifting {
+			t.Errorf("%s: LiftingFor resolved a scheme = %v, want %v", c.name, got, c.lifting)
+		}
 	}
 }
 

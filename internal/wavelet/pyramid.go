@@ -47,12 +47,12 @@ func CheckDecomposable(rows, cols, levels int) error {
 // paper's Section 2 — levels iterations of row filtering, column
 // decimation, column filtering, and row decimation, feeding each LL back
 // in as the next level's input — via the reference per-column kernels.
-// It is the behavioral source of truth: Decompose dispatches to the
-// cache-blocked fast path in internal/wavelet/kernel when the bank and
-// extension support it and must produce bit-identical pyramids (the
-// equivalence tests compare the two with math.Float64bits).
+// It is the behavioral source of truth and nothing dispatches to it:
+// Decompose always runs the fused sweep of internal/wavelet/kernel,
+// which must produce bit-identical pyramids (the equivalence tests
+// compare the two with math.Float64bits).
 //
-//wavelint:coldpath reference path allocates per call by design; Decompose falls back to it only for unsupported bank/extension pairs
+//wavelint:coldpath reference path allocates per call by design; it serves only as the test oracle and the benchmark baseline
 func DecomposeReference(im *image.Image, bank *filter.Bank, ext filter.Extension, levels int) (*Pyramid, error) {
 	if err := CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err

@@ -233,7 +233,7 @@ func DecomposeAllWithContext(ctx context.Context, images []*Image, bank *FilterB
 	}
 	var pyrs []*Pyramid
 	_, err = guardDecompose(func() (*Pyramid, error) {
-		res, err := core.DecomposeBatchTolCtx(ctx, images, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
+		res, err := core.DecomposeBatch(ctx, images, cfg.bank, cfg.ext, cfg.levels, cfg.workers, cfg.tol)
 		if err != nil {
 			return nil, err
 		}

@@ -148,6 +148,8 @@ func TestWithExtensionSelectsBorderPolicy(t *testing.T) {
 func TestOptionValidation(t *testing.T) {
 	im := Landsat(32, 32, 1)
 	bank := Haar()
+	empty := &FilterBank{Name: "empty"}
+	loOnly := &FilterBank{Name: "lo only", DecLo: bank.DecLo}
 	cases := []struct {
 		name string
 		err  func() error
@@ -164,6 +166,12 @@ func TestOptionValidation(t *testing.T) {
 			return err
 		}},
 		{"batch nil bank", func() error { _, err := DecomposeAllWith([]*Image{im}, nil); return err }},
+		// A bank without analysis filters must not reach a kernel, where
+		// it would divide by the zero filter length in a pool worker.
+		{"empty bank", func() error { _, err := DecomposeWith(im, empty, WithLevels(2)); return err }},
+		{"empty bank, workers", func() error { _, err := DecomposeWith(im, empty, WithLevels(2), WithWorkers(2)); return err }},
+		{"low channel only, workers", func() error { _, err := DecomposeWith(im, loOnly, WithWorkers(2)); return err }},
+		{"batch empty bank", func() error { _, err := DecomposeAllWith([]*Image{im, im}, empty, WithLevels(2)); return err }},
 	}
 	for _, c := range cases {
 		err := c.err()
