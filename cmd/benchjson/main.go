@@ -4,7 +4,9 @@
 // same four transforms as the Decompose512* benchmarks in bench_test.go
 // are measured: the steady-state Decomposer (reused arena + output
 // pyramid), the allocating one-shot dispatch, the pre-kernel reference
-// path, and the shared-memory parallel transform. The derived block
+// path, and the shared-memory parallel transform; then the inverse, as
+// a warm 5-level Reconstruct and a 4-worker ParallelReconstruct of the
+// same scene. The derived block
 // records the headline ratios the PR gates check (fast-vs-reference
 // speedup, steady-state allocations).
 //
@@ -139,7 +141,7 @@ func main() {
 
 	im := image.Landsat(512, 512, 42)
 	bank := filter.Daubechies8()
-	const levels = 3
+	const levels, reconLevels = 3, 5
 
 	rep := report{
 		Schema:    "wavelethpc-bench/v1",
@@ -262,7 +264,27 @@ func main() {
 			}
 		}
 	})
-	rep.Results = []result{steady, oneShot, ref, par4}
+	// The inverse pair: a warm 5-level reconstruction (arena and rings
+	// pooled) and the worker-pool inverse, both of the same scene.
+	pyr, err := wavelet.Decompose(im, bank, filter.Periodic, reconLevels)
+	if err != nil {
+		log.Fatal(err)
+	}
+	recon := measure("Reconstruct512", func(b *testing.B) {
+		reconSink = wavelet.Reconstruct(pyr)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			reconSink = wavelet.Reconstruct(pyr)
+		}
+	})
+	parRecon := measure("ParallelReconstruct512Workers4", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reconSink = core.ParallelReconstruct(pyr, 4)
+		}
+	})
+	rep.Results = []result{steady, oneShot, ref, par4, recon, parRecon}
 
 	rep.Derived["speedup_steady_vs_reference"] = ref.NsPerOp / steady.NsPerOp
 	rep.Derived["speedup_oneshot_vs_reference"] = ref.NsPerOp / oneShot.NsPerOp
@@ -276,6 +298,9 @@ func main() {
 	log.Printf("speedup steady/reference: %.2fx", rep.Derived["speedup_steady_vs_reference"])
 	log.Printf("wrote %s", *out)
 }
+
+// reconSink keeps the measured reconstructions live.
+var reconSink *image.Image
 
 func writeReport(rep *report, path string) {
 	data, err := json.MarshalIndent(rep, "", "  ")

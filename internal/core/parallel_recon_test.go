@@ -114,8 +114,9 @@ func TestParallelReconstructMalformedPyramid(t *testing.T) {
 }
 
 // TestParallelReconstructAllocBytes: the worker-pool inverse allocates
-// the output image, one row scratch per range and level, and the pool
-// itself — never a full-size intermediate.
+// the output image, the driver's level state and the pool itself —
+// never a full-size intermediate, and no per-range scratch once the
+// ring pool is warm.
 func TestParallelReconstructAllocBytes(t *testing.T) {
 	const n, levels, workers = 512, 5, 2
 	p, err := wavelet.Decompose(image.Landsat(n, n, 42), filter.Daubechies8(), filter.Periodic, levels)
@@ -124,8 +125,9 @@ func TestParallelReconstructAllocBytes(t *testing.T) {
 	}
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	ParallelReconstruct(p, workers)
-	// The arena comes from a sync.Pool the race detector drains at
-	// random; the fewest bytes over several calls is the steady state.
+	// The arena and the range rings come from sync.Pools the race
+	// detector drains at random; the fewest bytes over several calls is
+	// the steady state.
 	var fewest uint64 = math.MaxUint64
 	var before, after runtime.MemStats
 	for i := 0; i < 10; i++ {
@@ -134,9 +136,16 @@ func TestParallelReconstructAllocBytes(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		fewest = min(fewest, after.TotalAlloc-before.TotalAlloc)
 	}
-	// Row scratch stays below 2·n samples per worker; 16 KiB covers the
-	// pool's goroutines and channel and the driver's level state.
-	if limit := uint64(8*n*n + workers*8*2*n + 16<<10); fewest > limit {
+	// 2 KiB covers the pool's goroutines and channel, one barrier per
+	// level and the driver's level state (384 bytes measured).
+	limit := uint64(8*n*n + 2<<10)
+	if raceEnabled {
+		// A race build drops pool puts, so even the fewest of ten calls
+		// may rebuild a few rings: allow 24 bytes per column for each
+		// worker (a top-level ring takes about 14).
+		limit += workers * 24 * n
+	}
+	if fewest > limit {
 		t.Errorf("ParallelReconstruct allocates %d bytes, want <= %d (output %d)", fewest, limit, 8*n*n)
 	}
 }

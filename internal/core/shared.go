@@ -53,8 +53,10 @@ func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extensi
 // ParallelReconstruct inverts ParallelDecomposeTol with the given worker
 // count (0 means GOMAXPROCS). It runs wavelet.ReconstructRanges — the
 // level driver behind wavelet.Reconstruct — on one persistent pool that
-// serves every level, handing out column ranges for the panel-blocked
-// column pass and row ranges for the in-place row pass. The result is
+// serves every level, handing each worker a range of the level's output
+// rows for the fused synthesis sweep: one pool barrier per level. Range
+// scratch comes from the shared kernel pool, so only the returned image
+// is allocated per call beyond the pool itself. The result is
 // bit-identical to wavelet.Reconstruct regardless of worker count. A
 // pyramid whose bands do not chain panics with a *wavelet.UsageError on
 // the calling goroutine, before any work reaches the pool.

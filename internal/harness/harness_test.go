@@ -115,6 +115,9 @@ func TestSweepBoundsConcurrency(t *testing.T) {
 	}
 }
 
+// registerTestExperiments guards TestRegistry's registrations.
+var registerTestExperiments sync.Once
+
 func TestRegistry(t *testing.T) {
 	reg := func(name string) Experiment {
 		return &Func{ExpName: name, Desc: name + " test experiment",
@@ -122,10 +125,13 @@ func TestRegistry(t *testing.T) {
 				return &Report{Experiment: name}, nil
 			}}
 	}
-	// The registry is global; use unique names to stay independent of
-	// other tests.
-	Register(reg("zz-test-b"))
-	Register(reg("zz-test-a"))
+	// The registry is global and rejects duplicates; use unique names to
+	// stay independent of other tests, and register them once per
+	// process so repeated runs (-count=N) do not collide.
+	registerTestExperiments.Do(func() {
+		Register(reg("zz-test-b"))
+		Register(reg("zz-test-a"))
+	})
 
 	exp, err := Lookup("zz-test-a")
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -94,7 +95,10 @@ func TestDoToleranceRejectsOutOfRange(t *testing.T) {
 
 // TestTolerancePoolsSeparate: requests at different tolerances must use
 // different Decomposer pools — a lifting-tier Decomposer serving a
-// zero-tolerance request would silently break bit-identity.
+// zero-tolerance request would silently break bit-identity. The pool
+// map holds one pool per tolerance class, and every response is the
+// transform of its own class: tol 0 bit-identical to wavelet.Decompose,
+// tol Eps to wavelet.DecomposeTol's lifted output.
 func TestTolerancePoolsSeparate(t *testing.T) {
 	s, err := New(Config{Workers: 1, Levels: 2})
 	if err != nil {
@@ -103,15 +107,46 @@ func TestTolerancePoolsSeparate(t *testing.T) {
 	defer s.Shutdown(context.Background())
 	eps := liftEps(t)
 	im := image.Landsat(32, 32, 2)
-	for _, tol := range []float64{0, eps, 0, eps} {
+	want := map[float64]*wavelet.Pyramid{}
+	for _, tol := range []float64{0, eps} {
+		if want[tol], err = wavelet.DecomposeTol(im, filter.Daubechies8(), filter.Periodic, 2, tol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tol := range []float64{0, eps, 0, eps} {
 		res, err := s.Do(context.Background(), Request{Image: im, Tolerance: tol})
 		if err != nil {
 			t.Fatal(err)
 		}
+		requirePyramidBits(t, fmt.Sprintf("request %d (tol %g)", i, tol), want[tol], res.Pyramid)
 		res.Close()
 	}
-	if got := s.CreatedDecomposers(); got != 2 {
+	s.poolMu.Lock()
+	pools := len(s.pools)
+	s.poolMu.Unlock()
+	if pools != 2 {
+		t.Errorf("%d Decomposer pools, want 2 (one per tolerance class)", pools)
+	}
+	// A race build drops sync.Pool puts at random, so a class may build
+	// a second Decomposer there; elsewhere each class builds exactly one.
+	if got := s.CreatedDecomposers(); !raceEnabled && got != 2 {
 		t.Errorf("CreatedDecomposers = %d, want 2 (one per tolerance class)", got)
+	}
+}
+
+// requirePyramidBits fails unless got matches want band for band by
+// math.Float64bits.
+func requirePyramidBits(t *testing.T, label string, want, got *wavelet.Pyramid) {
+	t.Helper()
+	if !image.EqualBits(want.Approx, got.Approx) {
+		t.Fatalf("%s: approximation differs", label)
+	}
+	for i := range want.Levels {
+		if !image.EqualBits(want.Levels[i].LH, got.Levels[i].LH) ||
+			!image.EqualBits(want.Levels[i].HL, got.Levels[i].HL) ||
+			!image.EqualBits(want.Levels[i].HH, got.Levels[i].HH) {
+			t.Fatalf("%s: detail level %d differs", label, i)
+		}
 	}
 }
 

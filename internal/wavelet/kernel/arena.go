@@ -8,7 +8,7 @@ import (
 
 // Arena is the reusable scratch of one in-flight transform: a
 // ping-pong pair for the LL chain between levels and the Ring of the
-// fused analysis sweep when it runs as one range. Buffers are sized once
+// fused level sweep when it runs as one range. Buffers are sized once
 // at the top level (the deeper levels fit inside the same slabs) and grow
 // only when a larger image arrives, so steady-state decompositions
 // allocate nothing. An Arena is not safe for concurrent use by multiple
@@ -44,13 +44,17 @@ func (ar *Arena) LL(slot, rows, cols int) *image.Image {
 	return view(&ar.ll[slot], ar.llBuf[slot][:n], rows, cols)
 }
 
-// Ring returns the arena's AnalyzeLevelRange scratch, for a sweep that
-// covers a whole level on one goroutine.
+// Ring returns the arena's level-sweep scratch, for an
+// AnalyzeLevelRange or SynthesizeLevelRange call that covers a whole
+// level on one goroutine.
 func (ar *Arena) Ring() *Ring { return &ar.ring }
 
-// Ring is the scratch of one AnalyzeLevelRange call: row slots for the
-// filtered L/H rows it keeps (each slot 2·n samples) and the tap table
-// of its column combine. It grows on demand and is reused across calls.
+// Ring is the scratch of one fused level sweep: row slots (each slot
+// 2·n samples) and a tap table. AnalyzeLevelRange keeps its filtered
+// L/H rows in the slots and points the taps of its column combine at
+// them; SynthesizeLevelRange keeps the L|H row and the term weights of
+// one output row in a slot and the term source rows in the taps. It
+// grows on demand and is reused across calls.
 type Ring struct {
 	buf  []float64
 	taps [][]float64
@@ -70,8 +74,8 @@ func (r *Ring) reserve(slots, n, taps int) []float64 {
 	return r.buf
 }
 
-// ringPool recycles the per-range rings of sweeps that split a level
-// across goroutines.
+// ringPool recycles the per-range rings of sweeps (forward or inverse)
+// that split a level across goroutines.
 var ringPool = sync.Pool{New: func() any { return new(Ring) }}
 
 // GetRing takes a ring from the shared pool.

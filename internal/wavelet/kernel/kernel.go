@@ -1,7 +1,7 @@
 // Package kernel provides the fast-path kernels behind the
-// shared-memory DWT: the fused single-sweep analysis of one level,
-// unrolled row filters for the hot banks, panel-blocked synthesis, and
-// pooled scratch that eliminates per-level allocations.
+// shared-memory DWT: the fused single-sweep analysis and synthesis of
+// one level, unrolled row filters for the hot banks, and pooled scratch
+// that eliminates per-level allocations.
 //
 // The paper's argument — and this package's reason to exist — is that
 // the Mallat transform's memory-access pattern, not its FLOP count,
@@ -37,16 +37,18 @@
 // two output-row ranges, or held both in the window and in a wrapped
 // slot — are computed twice the same way.
 //
-// The synthesis kernels (SynthesizeColsRange, SynthesizeRowsRange) keep
-// the reference wavelet.SynthesizeStep order per output coefficient:
+// The fused synthesis sweep, SynthesizeLevelRange, is the same idea run
+// backwards: one pass over output rows, each column-synthesized from the
+// few source rows of the four subbands that cover it into a one-row L|H
+// scratch, then merged straight into the output row, so the inverse
+// needs no full-size intermediate either. It keeps the reference
+// wavelet.SynthesizeStep order per output coefficient in both stages:
 // start at zero, add the lo channel's terms h[k]·c[i] in ascending i
-// (ascending k within one i), then the hi channel's in the same order.
-// Unlike the reference they do not skip zero coefficients, which cannot
-// change a bit: the accumulator starts at +0 and never becomes -0, and
-// adding ±0 to anything else is exact. Column synthesis writes L and H
-// straight into the two halves of the level's output image and the row
-// pass merges each row in place through a one-row scratch, so the
-// inverse needs no full-size intermediate.
+// (ascending k within one i; interior sources, which come first, then
+// the border sources through ext.Index), then the hi channel's in the
+// same order. Unlike the reference it does not skip zero coefficients,
+// which cannot change a bit: the accumulator starts at +0 and never
+// becomes -0, and adding ±0 to anything else is exact.
 //
 // Inputs are assumed validated (even dimensions, matching shapes); the
 // wavelet package checks before dispatching here.

@@ -5,69 +5,185 @@ import (
 	"wavelethpc/internal/image"
 )
 
-// SynthesizeColsRange merges the column-filtered pair (lo, hi), each
-// rows × cols, back into dst (2·rows × cols) over the column range
-// [c0, c1). It is the fast-path equivalent of wavelet.SynthesizeCols
-// restricted to a column range, and dst may be a strided view (the
-// left or right half of a level's output image).
+// SynthesizeLevelRange computes rows [r0, r1) of out, one synthesis
+// level rebuilt from the four subbands ll, lh, hl and hh (each
+// out.Rows/2 × out.Cols/2): the fused form of the column synthesis of
+// (ll, lh) into L and (hl, hh) into H followed by the row synthesis
+// that merges each L|H row, with no full-size L/H intermediate.
 //
-// Like AnalyzeColsRange it walks PanelWidth-column panels row by row
-// instead of gathering one stride-N column at a time: for each source
-// row i and tap k it adds h[k]·src[i] across the panel into destination
-// row 2i+k, border rows resolved through ext.Index. The lo pass zeroes
-// each destination row just before its first term arrives, so the panel
-// is swept twice (lo, then hi) rather than three times.
+// For each output row r it column-synthesizes the L|H row r straight
+// from the few source rows whose support covers r into a one-row
+// scratch: every coefficient starts at +0 and adds the RecLo terms —
+// interior sources in ascending i, then the border sources (those whose
+// support 2i..2i+f-1 leaves the column) in ascending (i, k) through
+// ext.Index — and then the RecHi terms in the same order, which is the
+// order wavelet.SynthesizeStep gives each column coefficient. It then
+// merges the L and H halves into the output row in the same order
+// (rowSynth). scratch is resized as needed and must not be shared by
+// concurrent calls.
 //
 //wavelint:hotpath
-func SynthesizeColsRange(dst, lo, hi *image.Image, bank *filter.Bank, ext filter.Extension, c0, c1 int) {
-	for p0 := c0; p0 < c1; p0 += PanelWidth {
-		p1 := p0 + PanelWidth
-		if p1 > c1 {
-			p1 = c1
+func SynthesizeLevelRange(out, ll, lh, hl, hh *image.Image, bank *filter.Bank, ext filter.Extension, r0, r1 int, scratch *Ring) {
+	n, c := out.Rows, ll.Cols
+	lo := newSynthColumn(bank.RecLo, ext, n)
+	hi := newSynthColumn(bank.RecHi, ext, n)
+	terms := lo.maxTerms() + hi.maxTerms()
+	// One slot of c+⌈terms/2⌉ L/H samples holds the L|H row and the
+	// weights; the tap table holds both sides' source rows.
+	buf := scratch.reserve(1, c+(terms+1)/2, 2*terms)
+	row, w := buf[:2*c], buf[2*c:2*c+terms]
+	xl, xr := scratch.taps[:terms], scratch.taps[terms:]
+	rs := newRowSynth(bank, ext, out.Cols)
+	for r := r0; r < r1; r++ {
+		t := lo.gather(r, ll, hl, xl, xr, w, 0)
+		t = hi.gather(r, lh, hh, xl, xr, w, t)
+		combineTerms(row[:c], xl[:t], w[:t])
+		combineTerms(row[c:], xr[:t], w[:t])
+		rs.merge(out.Row(r), row[:c], row[c:])
+	}
+	// The ring outlives this call in a pool or an arena; drop its row
+	// references so it does not keep the subbands alive.
+	clear(scratch.taps)
+}
+
+// lastInterior returns the last source of an n-sample synthesis whose
+// length-f support 2i..2i+f-1 stays in range, or -1 if none does.
+//
+//wavelint:hotpath
+func lastInterior(n, f int) int {
+	if n < f {
+		return -1 // truncating division mishandles n-f = -1
+	}
+	return (n - f) / 2
+}
+
+// synthColumn is one channel of the column stage of
+// SynthesizeLevelRange over n output rows: its filter and its last
+// interior source.
+//
+// A border source i > last puts its terms at positions 2i+k in
+// [2·last+2, n+f-3]: in range they stay at or above 2·last+2, Periodic
+// wraps the rest below f-2 (n >= f whenever last >= 0, so one wrap
+// suffices), Symmetric reflects them to n-f+2 >= 2·last+2 or above, and
+// Zero drops them. Rows in [f-2, 2·last+2) therefore take interior terms
+// only, and gather skips the border scan there.
+type synthColumn struct {
+	h       []float64
+	ext     filter.Extension
+	n, last int
+}
+
+// newSynthColumn returns the column stage of filter h over n rows.
+//
+//wavelint:hotpath
+func newSynthColumn(h []float64, ext filter.Extension, n int) synthColumn {
+	return synthColumn{h: h, ext: ext, n: n, last: lastInterior(n, len(h))}
+}
+
+// maxTerms bounds the terms of one output row: at most ⌈f/2⌉ interior
+// sources, plus at most every border tap.
+//
+//wavelint:hotpath
+func (s *synthColumn) maxTerms() int {
+	return (len(s.h)+1)/2 + (s.n/2-1-s.last)*len(s.h)
+}
+
+// gather appends the channel's terms of output row r, in the reference
+// order, to the tap tables from index t: the source rows of a go to xa,
+// those of b to xb and the weights to w. It returns the new term count.
+//
+//wavelint:hotpath
+func (s *synthColumn) gather(r int, a, b *image.Image, xa, xb [][]float64, w []float64, t int) int {
+	f := len(s.h)
+	for i := max(0, (r-f+2)/2); i <= min(r/2, s.last); i++ {
+		xa[t], xb[t], w[t] = a.Row(i), b.Row(i), s.h[r-2*i]
+		t++
+	}
+	if r >= f-2 && r < 2*s.last+2 {
+		return t
+	}
+	for i := s.last + 1; 2*i < s.n; i++ {
+		for k, hk := range s.h {
+			if j, ok := s.ext.Index(2*i+k, s.n); ok && j == r {
+				xa[t], xb[t], w[t] = a.Row(i), b.Row(i), hk
+				t++
+			}
 		}
-		synthColsChannel(dst, lo, bank.RecLo, ext, p0, p1, true)
-		synthColsChannel(dst, hi, bank.RecHi, ext, p0, p1, false)
+	}
+	return t
+}
+
+// combineTerms sets d[c] = Σ w[t]·x[t][c], started at +0 and summed in
+// ascending t. Blocks of up to eight terms are added with the running
+// sum held in a register, each resuming from the partial sums the
+// previous block stored in d, which changes no bit.
+//
+//wavelint:hotpath
+func combineTerms(d []float64, x [][]float64, w []float64) {
+	zeroSeg(d)
+	for len(x) > 0 {
+		switch {
+		case len(x) >= 8:
+			sum8(d, x, w)
+			x, w = x[8:], w[8:]
+		case len(x) >= 4:
+			sum4(d, x, w)
+			x, w = x[4:], w[4:]
+		case len(x) >= 2:
+			sum2(d, x, w)
+			x, w = x[2:], w[2:]
+		default:
+			axpySeg(d, x[0], w[0])
+			x, w = x[1:], w[1:]
+		}
 	}
 }
 
-// synthColsChannel adds one upsampled, filtered channel of the [p0, p1)
-// panel of src into dst, with the reference SynthesizeStep's
-// interior/border split. With first set it overwrites dst instead:
-// every destination row is zeroed just before the first source reaches
-// it. Interior sources come first and their supports only move down, so
-// a watermark z tracks the rows zeroed so far.
-//
 //wavelint:hotpath
-func synthColsChannel(dst, src *image.Image, h []float64, ext filter.Extension, p0, p1 int, first bool) {
-	n := dst.Rows
-	f := len(h)
-	z := n // destination rows below z hold accumulators
-	if first {
-		z = 0
+func sum2(d []float64, x [][]float64, w []float64) {
+	n := len(d)
+	x0, x1 := x[0][:n], x[1][:n]
+	w0, w1 := w[0], w[1]
+	for c := range d {
+		a := d[c]
+		a += w0 * x0[c]
+		a += w1 * x1[c]
+		d[c] = a
 	}
-	for i := 0; i < src.Rows; i++ {
-		s := src.RowSeg(i, p0, p1)
-		base := 2 * i
-		if base+f <= n {
-			for ; z < base+f; z++ {
-				zeroSeg(dst.RowSeg(z, p0, p1))
-			}
-			for k, w := range h {
-				axpySeg(dst.RowSeg(base+k, p0, p1), s, w)
-			}
-			continue
-		}
-		for ; z < n; z++ {
-			zeroSeg(dst.RowSeg(z, p0, p1))
-		}
-		for k, w := range h {
-			if j, ok := ext.Index(base+k, n); ok {
-				axpySeg(dst.RowSeg(j, p0, p1), s, w)
-			}
-		}
+}
+
+//wavelint:hotpath
+func sum4(d []float64, x [][]float64, w []float64) {
+	n := len(d)
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
+	for c := range d {
+		a := d[c]
+		a += w0 * x0[c]
+		a += w1 * x1[c]
+		a += w2 * x2[c]
+		a += w3 * x3[c]
+		d[c] = a
 	}
-	for ; z < n; z++ {
-		zeroSeg(dst.RowSeg(z, p0, p1))
+}
+
+//wavelint:hotpath
+func sum8(d []float64, x [][]float64, w []float64) {
+	n := len(d)
+	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
+	x4, x5, x6, x7 := x[4][:n], x[5][:n], x[6][:n], x[7][:n]
+	w0, w1, w2, w3, w4, w5, w6, w7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
+	for c := range d {
+		a := d[c]
+		a += w0 * x0[c]
+		a += w1 * x1[c]
+		a += w2 * x2[c]
+		a += w3 * x3[c]
+		a += w4 * x4[c]
+		a += w5 * x5[c]
+		a += w6 * x6[c]
+		a += w7 * x7[c]
+		d[c] = a
 	}
 }
 
@@ -88,65 +204,62 @@ func axpySeg(d, s []float64, w float64) {
 	}
 }
 
-// SynthesizeRowsRange rebuilds rows [r0, r1) of im in place. On entry
-// each row holds the column-synthesized lo channel in its left half and
-// the hi channel in its right half (the layout SynthesizeColsRange
-// leaves when it writes L and H into the two halves of a level's output
-// image); on return it holds the merged row, bit-identical to
-// wavelet.SynthesizeRows. scratch must hold at least im.Cols samples:
-// each row is copied there, zeroed, and re-accumulated lo then hi, so
-// the pass needs no full-size intermediate.
+// rowSynth is the row stage of SynthesizeLevelRange for output rows of
+// n samples: it merges a row's column-synthesized L and H halves into
+// the output row, each output j receiving +0, its RecLo terms
+// h[j-2i]·L[i] (interior sources in ascending i, then border sources in
+// ascending (i, k) through ext.Index), then its RecHi terms in the same
+// order — wavelet.SynthesizeStep's order, as a gather.
 //
-//wavelint:hotpath
-func SynthesizeRowsRange(im *image.Image, scratch []float64, bank *filter.Bank, ext filter.Extension, r0, r1 int) {
-	n := im.Cols
-	half := n / 2
-	scratch = scratch[:n]
-	for r := r0; r < r1; r++ {
-		row := im.Row(r)
-		copy(scratch, row)
-		zeroSeg(row)
-		synthRow(scratch[:half], bank.RecLo, ext, row)
-		synthRow(scratch[half:], bank.RecHi, ext, row)
-	}
+// Outputs in [a, b) are pairs (2m, 2m+1) whose sources are interior in
+// both channels; they sum both channels in registers, four pairs side
+// by side so eight independent accumulator chains hide the
+// floating-point add latency. No RecLo border source reaches them: a
+// border position 2i+k lies in [2·lastLo+2, n+f-3], which stays at or
+// above b, Periodic wraps below f-2 <= a, Symmetric reflects to
+// n-f+2 >= b, and Zero drops. The few other outputs take the terms
+// channel by channel, with the RecLo border sources scattered between
+// the channels.
+type rowSynth struct {
+	lo, hi         []float64
+	ext            filter.Extension
+	lastLo, lastHi int
+	a, b           int
 }
 
-// synthRow adds one upsampled, filtered channel c into out (len
-// 2·len(c)): wavelet.SynthesizeStep turned from a scatter into a
-// gather. Each output sums its interior terms h[j-2i]·c[i] in ascending
-// i in a register, and only the border sources (those whose support
-// 2i..2i+f-1 leaves the row) are scattered afterwards through
-// ext.Index. Every interior source precedes every border source, so
-// each output still receives its terms in the reference order.
+// newRowSynth builds the row stage for rows of n samples.
 //
 //wavelint:hotpath
-func synthRow(c, h []float64, ext filter.Extension, out []float64) {
-	n := len(out)
-	f := len(h)
-	last := (n - f) / 2 // last source whose support is in range
-	if n < f {
-		last = -1 // truncating division mishandles n-f = -1
+func newRowSynth(bank *filter.Bank, ext filter.Extension, n int) rowSynth {
+	lo, hi := bank.RecLo, bank.RecHi
+	s := rowSynth{lo: lo, hi: hi, ext: ext, lastLo: lastInterior(n, len(lo)), lastHi: lastInterior(n, len(hi))}
+	s.a = 2 * max((len(lo)-1)/2, (len(hi)-1)/2)
+	s.b = 2*min(s.lastLo, s.lastHi) + 2
+	if s.b <= s.a {
+		s.a, s.b = n, n
 	}
-	// The blocked loop covers output pairs (2m, 2m+1) whose sources
-	// m-te..m are all interior: even outputs take the even taps
-	// h[2te..0], odd outputs the odd taps h[2to+1..1]. Four pairs run
-	// side by side so eight independent accumulator chains hide the
-	// floating-point add latency.
-	te, to := (f-1)/2, f/2-1
-	j := 0
-	if f >= 2 && te <= last {
-		for ; j < 2*te; j++ {
-			synthGatherAt(c, h, out, j, last)
-		}
-		m := te
-		for ; m+3 <= last; m += 4 {
-			o8 := out[2*m : 2*m+8]
-			e0, o0, e1, o1 := o8[0], o8[1], o8[2], o8[3]
-			e2, o2, e3, o3 := o8[4], o8[5], o8[6], o8[7]
-			t := te
-			if te > to {
+	return s
+}
+
+// merge writes the output row out from its L and H halves.
+//
+//wavelint:hotpath
+func (s *rowSynth) merge(out, l, h []float64) {
+	s.edges(out, l, s.lo, s.lastLo, true)
+	synthScatter(l, s.lo, s.ext, out, s.lastLo)
+	s.edges(out, h, s.hi, s.lastHi, false)
+	m := s.a / 2
+	for ; 2*m+8 <= s.b; m += 4 {
+		var e0, o0, e1, o1, e2, o2, e3, o3 float64
+		for ch := 0; ch < 2; ch++ {
+			c, f := l, s.lo
+			if ch == 1 {
+				c, f = h, s.hi
+			}
+			t, to := (len(f)-1)/2, len(f)/2-1
+			if t > to {
 				// Odd filter length: the even outputs have one more tap.
-				w := h[2*t]
+				w := f[2*t]
 				cc := c[m-t : m-t+4]
 				e0 += w * cc[0]
 				e1 += w * cc[1]
@@ -155,7 +268,7 @@ func synthRow(c, h []float64, ext filter.Extension, out []float64) {
 				t--
 			}
 			for ; t >= 0; t-- {
-				we, wo := h[2*t], h[2*t+1]
+				we, wo := f[2*t], f[2*t+1]
 				cc := c[m-t : m-t+4]
 				v0, v1, v2, v3 := cc[0], cc[1], cc[2], cc[3]
 				e0 += we * v0
@@ -167,23 +280,45 @@ func synthRow(c, h []float64, ext filter.Extension, out []float64) {
 				e3 += we * v3
 				o3 += wo * v3
 			}
-			o8[0], o8[1], o8[2], o8[3] = e0, o0, e1, o1
-			o8[4], o8[5], o8[6], o8[7] = e2, o2, e3, o3
 		}
-		for ; m <= last; m++ {
-			synthGatherAt(c, h, out, 2*m, last)
-			synthGatherAt(c, h, out, 2*m+1, last)
+		o8 := out[2*m : 2*m+8]
+		o8[0], o8[1], o8[2], o8[3] = e0, o0, e1, o1
+		o8[4], o8[5], o8[6], o8[7] = e2, o2, e3, o3
+	}
+	for j := 2 * m; j < s.b; j++ {
+		out[j] = 0
+		synthGatherAt(l, s.lo, out, j, s.lastLo)
+		synthGatherAt(h, s.hi, out, j, s.lastHi)
+	}
+	synthScatter(h, s.hi, s.ext, out, s.lastHi)
+}
+
+// edges adds the interior terms of channel c to the outputs outside
+// [a, b), first setting them to +0 when fresh is set.
+//
+//wavelint:hotpath
+func (s *rowSynth) edges(out, c, h []float64, last int, fresh bool) {
+	for _, span := range [2][2]int{{0, s.a}, {s.b, len(out)}} {
+		for j := span[0]; j < span[1]; j++ {
+			if fresh {
+				out[j] = 0
+			}
+			synthGatherAt(c, h, out, j, last)
 		}
-		j = 2*last + 2
 	}
-	for ; j < n; j++ {
-		synthGatherAt(c, h, out, j, last)
-	}
+}
+
+// synthScatter adds the terms of the border sources of channel c (those
+// after last) into out in ascending (i, k), through ext.Index.
+//
+//wavelint:hotpath
+func synthScatter(c, h []float64, ext filter.Extension, out []float64, last int) {
+	n := len(out)
 	for i := last + 1; i < len(c); i++ {
 		ci := c[i]
 		for k, w := range h {
-			if jj, ok := ext.Index(2*i+k, n); ok {
-				out[jj] += w * ci
+			if j, ok := ext.Index(2*i+k, n); ok {
+				out[j] += w * ci
 			}
 		}
 	}

@@ -17,7 +17,7 @@ type RangeRunner func(n int, fn func(lo, hi int))
 func inline(n int, fn func(lo, hi int)) { fn(0, n) }
 
 // Reconstruct inverts Decompose, rebuilding the original image through
-// the panel-blocked synthesis kernels on the calling goroutine. The
+// the fused synthesis sweep on the calling goroutine. The
 // result is bit-identical to ReconstructReference.
 func Reconstruct(p *Pyramid) *image.Image { return ReconstructRanges(p, inline) }
 
@@ -63,13 +63,16 @@ func CheckReconstructable(p *Pyramid) {
 }
 
 // ReconstructRanges is the one level driver behind Reconstruct and
-// core.ParallelReconstruct; run decides where each pass's ranges
-// execute. Per level, the column pass writes L and H straight into the
-// left and right halves of the level's output image, and the row pass
-// then merges every row in place through a one-row scratch, so no
-// full-size L/H intermediate exists. Only the returned image and the
-// row scratch are allocated: the LL chain between levels ping-pongs in
-// a pooled kernel.Arena. The pyramid is validated by
+// core.ParallelReconstruct; run decides where each level's ranges
+// execute. Each level is one pass of the fused synthesis sweep
+// (kernel.SynthesizeLevelRange) over ranges of the level's output rows:
+// every output row is column-synthesized from the level's subbands into
+// a one-row scratch and merged straight into place, so no full-size L/H
+// intermediate exists and the runner is called once per level. Only the
+// returned image and the driver's level state are allocated: the LL
+// chain between levels ping-pongs in a pooled kernel.Arena, a range
+// that covers a whole level uses the arena's ring, and split ranges take
+// rings from the kernel pool. The pyramid is validated by
 // CheckReconstructable on the calling goroutine before run is first
 // called.
 func ReconstructRanges(p *Pyramid, run RangeRunner) *image.Image {
@@ -80,50 +83,48 @@ func ReconstructRanges(p *Pyramid, run RangeRunner) *image.Image {
 	}
 	ar := kernel.GetArena()
 	defer kernel.PutArena(ar)
-	s := &synthLevel{bank: p.Bank, ext: p.Ext}
-	cols, rows := s.cols, s.rows
+	s := &synthLevel{ar: ar, bank: p.Bank, ext: p.Ext}
+	body := s.rows
 	cur := p.Approx
 	for l, d := range p.Levels {
-		r, c := 2*cur.Rows, cur.Cols
+		r, c := 2*cur.Rows, 2*cur.Cols
 		var out *image.Image
 		if l == last {
-			out = image.New(r, 2*c)
+			out = image.New(r, c)
 		} else {
 			// The largest intermediate (level last-1) takes slot 0, the
 			// slot Decompose sizes for its largest LL, so alternating
 			// transforms on one pooled arena stop growing it after one
 			// round.
-			out = ar.LL((last-1-l)%2, r, 2*c)
+			out = ar.LL((last-1-l)%2, r, c)
 		}
-		s.src, s.d, s.out = cur, d, *out
-		s.lo = image.Image{Rows: r, Cols: c, Stride: out.Stride, Pix: out.Pix}
-		s.hi = image.Image{Rows: r, Cols: c, Stride: out.Stride, Pix: out.Pix[c:]}
-		run(c, cols)
-		run(r, rows)
+		s.src, s.d, s.out = cur, d, out
+		run(r, body)
 		cur = out
 	}
 	return cur
 }
 
 // synthLevel is the state of the level ReconstructRanges is on, read by
-// its two range bodies: lo and hi are the left and right halves of out.
+// its range body.
 type synthLevel struct {
-	bank        *filter.Bank
-	ext         filter.Extension
-	src         *image.Image
-	d           DetailBands
-	out, lo, hi image.Image
+	ar       *kernel.Arena
+	bank     *filter.Bank
+	ext      filter.Extension
+	src, out *image.Image
+	d        DetailBands
 }
 
-// cols column-synthesizes (LL, LH) into lo and (HL, HH) into hi over
-// columns [c0, c1).
-func (s *synthLevel) cols(c0, c1 int) {
-	kernel.SynthesizeColsRange(&s.lo, s.src, s.d.LH, s.bank, s.ext, c0, c1)
-	kernel.SynthesizeColsRange(&s.hi, s.d.HL, s.d.HH, s.bank, s.ext, c0, c1)
-}
-
-// rows merges rows [r0, r1) of out in place, with its own scratch row
-// so concurrent ranges never share one.
+// rows synthesizes output rows [r0, r1) of the level. A range that
+// covers the whole level is the only range of its pass and uses the
+// arena's ring; split ranges may run concurrently and take their own
+// rings from the pool.
 func (s *synthLevel) rows(r0, r1 int) {
-	kernel.SynthesizeRowsRange(&s.out, make([]float64, s.out.Cols), s.bank, s.ext, r0, r1)
+	if r0 == 0 && r1 == s.out.Rows {
+		kernel.SynthesizeLevelRange(s.out, s.src, s.d.LH, s.d.HL, s.d.HH, s.bank, s.ext, r0, r1, s.ar.Ring())
+		return
+	}
+	ring := kernel.GetRing()
+	kernel.SynthesizeLevelRange(s.out, s.src, s.d.LH, s.d.HL, s.d.HH, s.bank, s.ext, r0, r1, ring)
+	kernel.PutRing(ring)
 }

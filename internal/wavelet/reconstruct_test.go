@@ -11,7 +11,7 @@ import (
 	"wavelethpc/internal/image"
 )
 
-// Inverse equivalence suite: the panel-blocked synthesis driver behind
+// Inverse equivalence suite: the fused synthesis driver behind
 // Reconstruct (and core.ParallelReconstruct) must rebuild every pyramid
 // bit for bit as ReconstructReference does, for every catalog bank ×
 // extension × shape, including deepest levels shorter than the filter
@@ -201,8 +201,9 @@ func steadyAllocs(tries int, fn func()) (count float64, bytes uint64) {
 }
 
 // TestReconstructAllocs is the inverse's allocation gate: a warm 512²
-// Reconstruct allocates its output image plus row scratch of O(cols)
-// bytes — no full-size L/H intermediates, no per-level parents.
+// Reconstruct allocates its output image and the driver's level state —
+// no full-size L/H intermediates, no per-level parents, no row scratch
+// (the sweep's scratch lives in the pooled arena).
 func TestReconstructAllocs(t *testing.T) {
 	const n, levels = 512, 5
 	p, err := Decompose(image.Landsat(n, n, 42), filter.Daubechies8(), filter.Periodic, levels)
@@ -210,14 +211,13 @@ func TestReconstructAllocs(t *testing.T) {
 		t.Fatal(err)
 	}
 	count, bytes := steadyAllocs(10, func() { Reconstruct(p) })
-	// The output image (header and pixels), the driver's level state
-	// and its two range bodies, and one row scratch per level.
-	if maxCount := float64(2 + 3 + levels); count > maxCount {
+	// The output image (header and pixels), the driver's level state and
+	// its range body.
+	if maxCount := float64(4); count > maxCount {
 		t.Errorf("warm Reconstruct makes %.0f allocations, want <= %.0f", count, maxCount)
 	}
-	// Row scratch is one output row per level (a geometric series below
-	// 2·n samples); 4 KiB covers the headers and the level state.
-	if limit := uint64(8*n*n + 8*2*n + 4096); bytes > limit {
+	// 1 KiB covers the headers and the level state (128 bytes measured).
+	if limit := uint64(8*n*n + 1024); bytes > limit {
 		t.Errorf("warm Reconstruct allocates %d bytes, want <= %d (output %d)", bytes, limit, 8*n*n)
 	}
 }
