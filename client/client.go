@@ -95,24 +95,14 @@ func New(baseURL string, opts ...Option) *Client {
 // form and the result in the binary pyramid codec, so the pyramid is
 // Float64bits-identical to the in-process transform (when Tol is 0).
 func (c *Client) Decompose(ctx context.Context, im *image.Image, req DecomposeRequest) (*wavelet.Pyramid, error) {
-	if im == nil {
-		return nil, fmt.Errorf("client: nil image")
-	}
-	var body bytes.Buffer
-	if err := proto.EncodeRaster(&body, im); err != nil {
-		return nil, fmt.Errorf("client: encoding raster: %w", err)
-	}
-	q := req.query()
-	q.Set("output", proto.OutputPyramid)
-	resp, err := c.post(ctx, "/v1/decompose?"+q.Encode(), proto.ContentTypeRaster, body.Bytes())
-	if err != nil {
-		return nil, err
-	}
-	p, err := proto.DecodePyramid(bytes.NewReader(resp))
-	if err != nil {
-		return nil, fmt.Errorf("client: decoding pyramid: %w", err)
-	}
-	return p, nil
+	var p *wavelet.Pyramid
+	err := c.decomposeRaster(ctx, im, req, proto.OutputPyramid, func(body io.Reader) (err error) {
+		if p, err = proto.DecodePyramid(body); err != nil {
+			return fmt.Errorf("client: decoding pyramid: %w", err)
+		}
+		return nil
+	})
+	return p, err
 }
 
 // Roundtrip decomposes and reconstructs im on the service, returning the
@@ -129,24 +119,33 @@ func (c *Client) Mosaic(ctx context.Context, im *image.Image, req DecomposeReque
 }
 
 func (c *Client) pgmOutput(ctx context.Context, im *image.Image, req DecomposeRequest, output string) (*image.Image, error) {
+	var out *image.Image
+	err := c.decomposeRaster(ctx, im, req, output, func(body io.Reader) (err error) {
+		if out, err = image.ReadPGM(body); err != nil {
+			return fmt.Errorf("client: decoding %s response: %w", output, err)
+		}
+		return nil
+	})
+	return out, err
+}
+
+// decomposeRaster posts im in the raster form with the given output and
+// hands a 2xx response body to decode as a stream.
+func (c *Client) decomposeRaster(ctx context.Context, im *image.Image, req DecomposeRequest, output string, decode func(io.Reader) error) error {
 	if im == nil {
-		return nil, fmt.Errorf("client: nil image")
+		return fmt.Errorf("client: nil image")
 	}
-	var body bytes.Buffer
-	if err := proto.EncodeRaster(&body, im); err != nil {
-		return nil, fmt.Errorf("client: encoding raster: %w", err)
+	body := bytes.NewBuffer(make([]byte, 0, proto.RasterSize(im.Rows, im.Cols)))
+	if err := proto.EncodeRaster(body, im); err != nil {
+		return fmt.Errorf("client: encoding raster: %w", err)
 	}
 	q := req.query()
 	q.Set("output", output)
-	resp, err := c.post(ctx, "/v1/decompose?"+q.Encode(), proto.ContentTypeRaster, body.Bytes())
+	hreq, err := c.newRequest(ctx, http.MethodPost, "/v1/decompose?"+q.Encode(), proto.ContentTypeRaster, body.Bytes())
 	if err != nil {
-		return nil, err
+		return err
 	}
-	out, err := image.ReadPGM(bytes.NewReader(resp))
-	if err != nil {
-		return nil, fmt.Errorf("client: decoding %s response: %w", output, err)
-	}
-	return out, nil
+	return c.do(hreq, decode)
 }
 
 // DecomposeJSON sends the versioned v1 JSON body form carrying a binary
@@ -200,37 +199,71 @@ func (r DecomposeRequest) query() url.Values {
 }
 
 func (c *Client) post(ctx context.Context, path, contentType string, body []byte) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, c.base+path, bytes.NewReader(body))
+	req, err := c.newRequest(ctx, http.MethodPost, path, contentType, body)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, err
 	}
-	req.Header.Set("Content-Type", contentType)
-	return c.roundTrip(req)
+	return c.readAll(req)
 }
 
 func (c *Client) get(ctx context.Context, path string) ([]byte, error) {
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+path, nil)
+	req, err := c.newRequest(ctx, http.MethodGet, path, "", nil)
 	if err != nil {
-		return nil, fmt.Errorf("client: %w", err)
+		return nil, err
 	}
-	return c.roundTrip(req)
+	return c.readAll(req)
 }
 
-// roundTrip executes the request and maps non-2xx responses onto
-// *APIError via the protocol's error envelope; responses that are not an
-// envelope (proxies, panics) surface as CodeInternal with the body text.
-func (c *Client) roundTrip(req *http.Request) ([]byte, error) {
-	resp, err := c.httpc.Do(req)
+func (c *Client) newRequest(ctx context.Context, method, path, contentType string, body []byte) (*http.Request, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
 	if err != nil {
 		return nil, fmt.Errorf("client: %w", err)
 	}
-	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	if contentType != "" {
+		req.Header.Set("Content-Type", contentType)
+	}
+	return req, nil
+}
+
+// readAll executes req and returns the whole 2xx response body.
+func (c *Client) readAll(req *http.Request) ([]byte, error) {
+	var body []byte
+	err := c.do(req, func(r io.Reader) (err error) {
+		if body, err = io.ReadAll(r); err != nil {
+			return fmt.Errorf("client: reading response: %w", err)
+		}
+		return nil
+	})
+	return body, err
+}
+
+// do executes req, hands a 2xx response body to decode as a stream and
+// then drains it to EOF, so the keep-alive connection is reused. Non-2xx
+// responses map onto *APIError via the protocol's error envelope;
+// responses that are not an envelope (proxies, panics) surface as
+// CodeInternal with the body text.
+func (c *Client) do(req *http.Request, decode func(io.Reader) error) error {
+	resp, err := c.httpc.Do(req)
 	if err != nil {
-		return nil, fmt.Errorf("client: reading response: %w", err)
+		return fmt.Errorf("client: %w", err)
 	}
+	defer resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return nil, proto.DecodeError(resp.StatusCode, body)
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			return fmt.Errorf("client: reading response: %w", err)
+		}
+		return proto.DecodeError(resp.StatusCode, body)
 	}
-	return body, nil
+	if err := decode(resp.Body); err != nil {
+		return err
+	}
+	if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+		return fmt.Errorf("client: reading response: %w", err)
+	}
+	return nil
 }

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 
 	"wavelethpc/internal/filter"
@@ -287,5 +289,95 @@ func TestGatewayOperationalErrors(t *testing.T) {
 	}
 	if apiErr.Code == "" {
 		t.Fatal("missing stable error code")
+	}
+}
+
+// statusWriter records the status a handler answered with.
+type statusWriter struct {
+	http.ResponseWriter
+	status int
+}
+
+func (w *statusWriter) WriteHeader(code int) {
+	w.status = code
+	w.ResponseWriter.WriteHeader(code)
+}
+
+// TestKeepAliveReuse checks that streamed response decoding leaves the
+// keep-alive connection reusable: sequential Decompose and Roundtrip
+// calls, a 4xx in between, all ride one connection. Every 2xx body is
+// followed by 64 KiB of padding the decoders never read, so only the
+// client's drain to EOF keeps the connection alive.
+func TestKeepAliveReuse(t *testing.T) {
+	s, err := serve.New(serve.Config{QueueDepth: 16, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	var conns atomic.Int32
+	srv := httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
+		h.ServeHTTP(sw, r)
+		if sw.status < 300 {
+			w.Write(make([]byte, 64<<10))
+		}
+	}))
+	srv.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		if state == http.StateNew {
+			conns.Add(1)
+		}
+	}
+	srv.Start()
+	t.Cleanup(func() {
+		srv.Close()
+		s.Shutdown(context.Background())
+	})
+	c := New(srv.URL, WithHTTPClient(srv.Client()))
+	ctx := context.Background()
+	req := DecomposeRequest{Bank: "db8", Levels: 3}
+	im := image.Landsat(64, 48, 5)
+	for i := 0; i < 20; i++ {
+		if _, err := c.Decompose(ctx, im, req); err != nil {
+			t.Fatalf("Decompose %d: %v", i, err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		back, err := c.Roundtrip(ctx, im, req)
+		if err != nil {
+			t.Fatalf("Roundtrip %d: %v", i, err)
+		}
+		if back.Rows != im.Rows || back.Cols != im.Cols {
+			t.Fatalf("Roundtrip %d: shape %dx%d", i, back.Rows, back.Cols)
+		}
+	}
+	_, err = c.Decompose(ctx, im, DecomposeRequest{Bank: "nope", Levels: 1})
+	var apiErr *APIError
+	if !errors.As(err, &apiErr) || apiErr.Code != CodeBadRequest || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("bad bank: err = %v, want a 400 bad_request *APIError", err)
+	}
+	if _, err := c.Decompose(ctx, im, req); err != nil {
+		t.Fatalf("Decompose after 4xx: %v", err)
+	}
+	if n := conns.Load(); n != 1 {
+		t.Fatalf("opened %d connections, want 1", n)
+	}
+}
+
+// TestStreamedOutputError checks a 5xx answer to the streamed
+// Roundtrip and Decompose paths still surfaces as *APIError.
+func TestStreamedOutputError(t *testing.T) {
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		proto.WriteError(w, proto.NewError(http.StatusServiceUnavailable, CodeOverload, "scripted overload"))
+	}))
+	defer srv.Close()
+	c := New(srv.URL)
+	im := image.Landsat(8, 8, 1)
+	_, errRT := c.Roundtrip(context.Background(), im, DecomposeRequest{})
+	_, errDec := c.Decompose(context.Background(), im, DecomposeRequest{})
+	for _, err := range []error{errRT, errDec} {
+		var apiErr *APIError
+		if !errors.As(err, &apiErr) || apiErr.Code != CodeOverload || apiErr.Status != http.StatusServiceUnavailable {
+			t.Fatalf("err = %v, want a 503 overload *APIError", err)
+		}
 	}
 }

@@ -6,7 +6,8 @@
 // pyramid), the allocating one-shot dispatch, the pre-kernel reference
 // path, and the shared-memory parallel transform; then the inverse, as
 // a warm 5-level Reconstruct and a 4-worker ParallelReconstruct of the
-// same scene. The derived block
+// same scene; then the four wire codecs on a 256-square db8 request.
+// The derived block
 // records the headline ratios the PR gates check (fast-vs-reference
 // speedup, steady-state allocations).
 //
@@ -43,6 +44,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
@@ -58,6 +60,7 @@ import (
 	"wavelethpc/internal/core"
 	"wavelethpc/internal/filter"
 	"wavelethpc/internal/image"
+	"wavelethpc/internal/proto"
 	"wavelethpc/internal/serve"
 	"wavelethpc/internal/wavelet"
 )
@@ -284,7 +287,7 @@ func main() {
 			reconSink = core.ParallelReconstruct(pyr, 4)
 		}
 	})
-	rep.Results = []result{steady, oneShot, ref, par4, recon, parRecon}
+	rep.Results = append([]result{steady, oneShot, ref, par4, recon, parRecon}, codecResults()...)
 
 	rep.Derived["speedup_steady_vs_reference"] = ref.NsPerOp / steady.NsPerOp
 	rep.Derived["speedup_oneshot_vs_reference"] = ref.NsPerOp / oneShot.NsPerOp
@@ -301,6 +304,64 @@ func main() {
 
 // reconSink keeps the measured reconstructions live.
 var reconSink *image.Image
+
+// codecResults measures the wire codecs on the service workload's
+// largest request: a 256-square raster and its db8 three-level pyramid,
+// encoded into and decoded from memory.
+func codecResults() []result {
+	im := image.Landsat(256, 256, 42)
+	pyr, err := wavelet.Decompose(im, filter.Daubechies8(), filter.Periodic, 3)
+	if err != nil {
+		log.Fatal(err)
+	}
+	var raster, pyrBytes bytes.Buffer
+	if err := proto.EncodeRaster(&raster, im); err != nil {
+		log.Fatal(err)
+	}
+	if err := proto.EncodePyramid(&pyrBytes, pyr); err != nil {
+		log.Fatal(err)
+	}
+	encode := func(name string, enc func(*bytes.Buffer) error) result {
+		return measure(name, func(b *testing.B) {
+			buf := bytes.NewBuffer(make([]byte, 0, pyrBytes.Len()))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf.Reset()
+				if err := enc(buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	decode := func(name string, data []byte, dec func(*bytes.Reader) error) result {
+		return measure(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := dec(bytes.NewReader(data)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	return []result{
+		encode("EncodeRaster256", func(w *bytes.Buffer) error { return proto.EncodeRaster(w, im) }),
+		decode("DecodeRaster256", raster.Bytes(), func(r *bytes.Reader) (err error) {
+			codecImageSink, err = proto.DecodeRaster(r)
+			return err
+		}),
+		encode("EncodePyramid256", func(w *bytes.Buffer) error { return proto.EncodePyramid(w, pyr) }),
+		decode("DecodePyramid256", pyrBytes.Bytes(), func(r *bytes.Reader) (err error) {
+			codecPyramidSink, err = proto.DecodePyramid(r)
+			return err
+		}),
+	}
+}
+
+// codecImageSink and codecPyramidSink keep the decoded values live.
+var (
+	codecImageSink   *image.Image
+	codecPyramidSink *wavelet.Pyramid
+)
 
 func writeReport(rep *report, path string) {
 	data, err := json.MarshalIndent(rep, "", "  ")

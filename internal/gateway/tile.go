@@ -98,8 +98,8 @@ func (g *Gateway) tiledDecompose(ctx context.Context, info *proto.RouteInfo) (*R
 	p.Approx = cur
 
 	g.metrics.TiledRequests.Add(1)
-	var buf bytes.Buffer
-	mw := &memResponseWriter{header: http.Header{}, body: &buf}
+	buf := bytes.NewBuffer(make([]byte, 0, proto.DecomposeResponseSize(p, info.Output)))
+	mw := &memResponseWriter{header: http.Header{}, body: buf}
 	if err := proto.WriteDecomposeResponse(mw, p, info.Output); err != nil {
 		return nil, fmt.Errorf("gateway: tiling: encoding response: %w", err)
 	}
@@ -150,8 +150,8 @@ func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filte
 		q.Set("bank", bankName)
 		q.Set("levels", "1")
 		q.Set("output", proto.OutputPyramid)
-		var body bytes.Buffer
-		if err := proto.EncodeRaster(&body, sub); err != nil {
+		body := bytes.NewBuffer(make([]byte, 0, proto.RasterSize(sub.Rows, sub.Cols)))
+		if err := proto.EncodeRaster(body, sub); err != nil {
 			return nil, 0, fmt.Errorf("gateway: tiling: encoding stripe: %w", err)
 		}
 		req := &Request{

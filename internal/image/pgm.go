@@ -9,11 +9,14 @@ import (
 	"strconv"
 )
 
+// pgmHeader is the P5 header WritePGM emits, filled with cols and rows.
+const pgmHeader = "P5\n%d %d\n255\n"
+
 // WritePGM encodes im as a binary (P5) PGM with maxval 255. Pixels are
 // clamped to [0, 255] and rounded to the nearest integer.
 func WritePGM(w io.Writer, im *Image) error {
 	bw := bufio.NewWriter(w)
-	if _, err := fmt.Fprintf(bw, "P5\n%d %d\n255\n", im.Cols, im.Rows); err != nil {
+	if _, err := fmt.Fprintf(bw, pgmHeader, im.Cols, im.Rows); err != nil {
 		return err
 	}
 	buf := make([]byte, im.Cols)
@@ -27,6 +30,12 @@ func WritePGM(w io.Writer, im *Image) error {
 		}
 	}
 	return bw.Flush()
+}
+
+// PGMSize is the exact length of WritePGM's output for a rows×cols
+// image, for presizing the buffer it is written into.
+func PGMSize(rows, cols int) int {
+	return len(fmt.Sprintf(pgmHeader, cols, rows)) + rows*cols
 }
 
 func clampByte(v float64) byte {

@@ -55,12 +55,8 @@ func EncodeRaster(w io.Writer, im *image.Image) error {
 	bw.WriteByte(codecVersion)
 	writeUvarint(bw, uint64(im.Rows))
 	writeUvarint(bw, uint64(im.Cols))
-	var scratch [8]byte
-	for r := 0; r < im.Rows; r++ {
-		for _, v := range im.Row(r) {
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			bw.Write(scratch[:])
-		}
+	if err := writeBand(bw, im); err != nil {
+		return err
 	}
 	return bw.Flush()
 }
@@ -82,11 +78,20 @@ func DecodeRaster(r io.Reader) (*image.Image, error) {
 	if rows*cols > maxCodecPixels {
 		return nil, codecErr("raster", "%dx%d exceeds %d pixels", rows, cols, maxCodecPixels)
 	}
+	if err := checkPayload(r, br, rows*cols, "raster"); err != nil {
+		return nil, err
+	}
 	im := image.New(rows, cols)
 	if err := readFloats(br, im.Pix, "raster"); err != nil {
 		return nil, err
 	}
 	return im, nil
+}
+
+// RasterSize is the exact length of EncodeRaster's output for a
+// rows×cols image, for presizing the buffer it is encoded into.
+func RasterSize(rows, cols int) int {
+	return len(rasterMagic) + 1 + uvarintLen(uint64(rows)) + uvarintLen(uint64(cols)) + 8*rows*cols
 }
 
 // SniffRasterShape reads a raster header from a buffered body without
@@ -130,11 +135,15 @@ func EncodePyramid(w io.Writer, p *wavelet.Pyramid) error {
 	writeUvarint(bw, uint64(len(p.Levels)))
 	writeUvarint(bw, uint64(p.Approx.Rows))
 	writeUvarint(bw, uint64(p.Approx.Cols))
-	writeBand(bw, p.Approx)
+	if err := writeBand(bw, p.Approx); err != nil {
+		return err
+	}
 	for _, d := range p.Levels {
-		writeBand(bw, d.LH)
-		writeBand(bw, d.HL)
-		writeBand(bw, d.HH)
+		for _, b := range [...]*image.Image{d.LH, d.HL, d.HH} {
+			if err := writeBand(bw, b); err != nil {
+				return err
+			}
+		}
 	}
 	return bw.Flush()
 }
@@ -180,26 +189,52 @@ func DecodePyramid(r io.Reader) (*wavelet.Pyramid, error) {
 		(ar<<levels)*(ac<<levels) > maxCodecPixels {
 		return nil, codecErr("pyramid", "%dx%d approx at %d levels exceeds size limits", ar, ac, levels)
 	}
+	// Every band lives in one slab, approx first, then LH, HL, HH per
+	// level coarsest-first, which is the wire order, so the payload
+	// decodes in a single readFloats.
+	n := ar * ac
+	for i := 0; i < int(levels); i++ {
+		n += 3 * (ar << i) * (ac << i)
+	}
+	if err := checkPayload(r, br, n, "pyramid"); err != nil {
+		return nil, err
+	}
+	slab := make([]float64, n)
+	if err := readFloats(br, slab, "pyramid"); err != nil {
+		return nil, err
+	}
+	bands := make([]image.Image, 0, 1+3*levels)
+	band := func(rows, cols int) *image.Image {
+		bands = append(bands, image.Image{Rows: rows, Cols: cols, Stride: cols, Pix: slab[: rows*cols : rows*cols]})
+		slab = slab[rows*cols:]
+		return &bands[len(bands)-1]
+	}
 	p := &wavelet.Pyramid{
 		Bank:   bank,
 		Ext:    filter.Extension(extByte),
-		Approx: image.New(ar, ac),
+		Approx: band(ar, ac),
 		Levels: make([]wavelet.DetailBands, levels),
-	}
-	if err := readFloats(br, p.Approx.Pix, "pyramid"); err != nil {
-		return nil, err
 	}
 	for i := range p.Levels {
 		br2, bc2 := ar<<i, ac<<i
-		d := wavelet.DetailBands{LH: image.New(br2, bc2), HL: image.New(br2, bc2), HH: image.New(br2, bc2)}
-		for _, b := range []*image.Image{d.LH, d.HL, d.HH} {
-			if err := readFloats(br, b.Pix, "pyramid"); err != nil {
-				return nil, err
-			}
-		}
-		p.Levels[i] = d
+		p.Levels[i] = wavelet.DetailBands{LH: band(br2, bc2), HL: band(br2, bc2), HH: band(br2, bc2)}
 	}
 	return p, nil
+}
+
+// DecomposeResponseSize is the exact length of the body
+// WriteDecomposeResponse writes for p in the given output form.
+func DecomposeResponseSize(p *wavelet.Pyramid, output string) int {
+	if output != OutputPyramid {
+		return image.PGMSize(p.Approx.Rows<<p.Depth(), p.Approx.Cols<<p.Depth())
+	}
+	n := len(pyramidMagic) + 1 + uvarintLen(uint64(len(p.Bank.Name))) + len(p.Bank.Name) + 1 +
+		uvarintLen(uint64(len(p.Levels))) + uvarintLen(uint64(p.Approx.Rows)) + uvarintLen(uint64(p.Approx.Cols)) +
+		8*p.Approx.Rows*p.Approx.Cols
+	for _, d := range p.Levels {
+		n += 8 * (d.LH.Rows*d.LH.Cols + d.HL.Rows*d.HL.Cols + d.HH.Rows*d.HH.Cols)
+	}
+	return n
 }
 
 // WriteDecomposeResponse renders a finished pyramid onto w in the
@@ -221,20 +256,47 @@ func WriteDecomposeResponse(w http.ResponseWriter, p *wavelet.Pyramid, output st
 	}
 }
 
-func writeBand(bw *bufio.Writer, im *image.Image) {
-	var scratch [8]byte
+// writeBand writes im's pixels row-major as float64 bit patterns.
+func writeBand(bw *bufio.Writer, im *image.Image) error {
 	for r := 0; r < im.Rows; r++ {
-		for _, v := range im.Row(r) {
-			binary.LittleEndian.PutUint64(scratch[:], math.Float64bits(v))
-			bw.Write(scratch[:])
+		if err := writeFloats(bw, im.Row(r)); err != nil {
+			return err
 		}
 	}
+	return nil
+}
+
+// writeFloats appends vs to bw as little-endian float64 bit patterns a
+// block at a time, straight into bufio's own buffer: one Write per
+// buffer's worth and no staging array (a stack array passed to Write
+// escapes to the heap).
+func writeFloats(bw *bufio.Writer, vs []float64) error {
+	for len(vs) > 0 {
+		if bw.Available() < 8 {
+			if err := bw.Flush(); err != nil {
+				return err
+			}
+		}
+		n := min(len(vs), bw.Available()/8)
+		buf := bw.AvailableBuffer()
+		for _, v := range vs[:n] {
+			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
+		}
+		if _, err := bw.Write(buf); err != nil {
+			return err
+		}
+		vs = vs[n:]
+	}
+	return nil
 }
 
 func writeUvarint(bw *bufio.Writer, v uint64) {
+	bw.Write(binary.AppendUvarint(bw.AvailableBuffer(), v))
+}
+
+func uvarintLen(v uint64) int {
 	var buf [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(buf[:], v)
-	bw.Write(buf[:n])
+	return binary.PutUvarint(buf[:], v)
 }
 
 func expectMagic(br *bufio.Reader, magic, format string) error {
@@ -259,13 +321,36 @@ func readDim(br *bufio.Reader, format, what string) (int, error) {
 	return int(v), nil
 }
 
+// checkPayload rejects a declared payload of n floats that exceeds the
+// bytes that can still arrive, before anything is allocated for it. The
+// bound is known when the source reports its unread length (a
+// *bytes.Reader or *bytes.Buffer, or ParseDecompose's body bounded by
+// its Content-Length); other sources fall back to the size limits alone.
+func checkPayload(src io.Reader, br *bufio.Reader, n int, format string) error {
+	lr, ok := src.(interface{ Len() int })
+	if !ok {
+		return nil
+	}
+	if avail := lr.Len() + br.Buffered(); 8*n > avail {
+		return codecErr(format, "truncated pixel data: %d bytes declared, %d can arrive", 8*n, avail)
+	}
+	return nil
+}
+
+// readFloats fills dst from br's little-endian float64 bit patterns a
+// buffer's worth at a time, decoding straight out of bufio's buffer.
 func readFloats(br *bufio.Reader, dst []float64, format string) error {
-	var scratch [8]byte
-	for i := range dst {
-		if _, err := io.ReadFull(br, scratch[:]); err != nil {
+	for len(dst) > 0 {
+		n := min(len(dst), br.Size()/8)
+		buf, err := br.Peek(8 * n)
+		if err != nil {
 			return codecErr(format, "truncated pixel data")
 		}
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(scratch[:]))
+		for i := range dst[:n] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
+		}
+		br.Discard(8 * n)
+		dst = dst[n:]
 	}
 	return nil
 }

@@ -248,7 +248,7 @@ func ParseDecompose(w http.ResponseWriter, r *http.Request, maxBody int64) (*Dec
 	case ContentTypeJSON:
 		return parseDecomposeJSON(body, r.URL.Query())
 	case ContentTypeRaster:
-		im, err := DecodeRaster(body)
+		im, err := DecodeRaster(boundedBody(body, r.ContentLength, maxBody))
 		if err != nil {
 			return nil, badRequest("%v", err)
 		}
@@ -262,6 +262,23 @@ func ParseDecompose(w http.ResponseWriter, r *http.Request, maxBody int64) (*Dec
 		}
 		return decomposeFromQuery(r.URL.Query(), im)
 	}
+}
+
+// lenReader is an io.LimitedReader that reports its remaining bytes
+// through Len, the method the binary decoders size a declared payload
+// against before allocating for it.
+type lenReader struct{ io.LimitedReader }
+
+func (l *lenReader) Len() int { return int(l.N) }
+
+// boundedBody caps body at the bytes that can arrive: the declared
+// Content-Length when the client sent one, and maxBody in any case.
+func boundedBody(body io.Reader, contentLength, maxBody int64) io.Reader {
+	n := maxBody
+	if contentLength >= 0 && contentLength < n {
+		n = contentLength
+	}
+	return &lenReader{io.LimitedReader{R: body, N: n}}
 }
 
 // decomposeFromQuery folds the legacy query parameters around a decoded

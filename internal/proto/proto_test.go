@@ -397,17 +397,20 @@ func TestGoldenPyramidCodec(t *testing.T) {
 	}
 }
 
+// codecDecodeErrorCases are malformed codec bodies; they also seed the
+// codec fuzz targets.
+var codecDecodeErrorCases = [][]byte{
+	nil,
+	[]byte("WRAS"),
+	[]byte("XXXX\x01"),
+	[]byte("WRAS\x02\x04\x04"),
+	[]byte("WRAS\x01\x04\x04"), // truncated pixels
+	[]byte("WPYR\x01\x00"),     // empty bank name
+	[]byte("WPYR\x01\x04nope\x00\x01\x02\x02"),
+}
+
 func TestCodecDecodeErrors(t *testing.T) {
-	cases := [][]byte{
-		nil,
-		[]byte("WRAS"),
-		[]byte("XXXX\x01"),
-		[]byte("WRAS\x02\x04\x04"),
-		[]byte("WRAS\x01\x04\x04"), // truncated pixels
-		[]byte("WPYR\x01\x00"),     // empty bank name
-		[]byte("WPYR\x01\x04nope\x00\x01\x02\x02"),
-	}
-	for i, raw := range cases {
+	for i, raw := range codecDecodeErrorCases {
 		var err error
 		if bytes.HasPrefix(raw, []byte("WPYR")) {
 			_, err = DecodePyramid(bytes.NewReader(raw))
