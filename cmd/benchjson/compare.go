@@ -4,18 +4,20 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strconv"
 	"strings"
 )
 
 // parseTolerance accepts "10%" or a bare fraction like "0.1" and
-// returns the allowed relative ns/op increase.
+// returns the allowed relative ns/op increase. NaN and ±Inf are
+// rejected: no delta exceeds either, so they would turn the gate off.
 func parseTolerance(s string) (float64, error) {
 	s = strings.TrimSpace(s)
 	pct := strings.HasSuffix(s, "%")
 	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	if err != nil || v < 0 {
+	if err != nil || v < 0 || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad tolerance %q: want \"10%%\" or \"0.1\"", s)
 	}
 	if pct {

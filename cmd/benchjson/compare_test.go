@@ -34,6 +34,10 @@ func TestParseTolerance(t *testing.T) {
 		{"", 0, true},
 		{"-5%", 0, true},
 		{"abc", 0, true},
+		{"NaN", 0, true},
+		{"nan%", 0, true},
+		{"Inf", 0, true},
+		{"+Inf%", 0, true},
 	}
 	for _, c := range cases {
 		got, err := parseTolerance(c.in)

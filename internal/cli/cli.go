@@ -179,9 +179,9 @@ func ExportCSV(rep *harness.Report, dir string, w io.Writer) error {
 	return nil
 }
 
-// ServeFlags bundles the flags of the decomposition service front ends
-// (cmd/waveserved and the benchjson load generator): the listen address
-// plus everything that maps onto a serve.Config.
+// ServeFlags bundles the flags of the decomposition service front end,
+// cmd/waveserved: the listen address plus everything that maps onto a
+// serve.Config.
 type ServeFlags struct {
 	Addr     string
 	Filter   string
@@ -230,10 +230,9 @@ func (f *ServeFlags) ServeConfig() (serve.Config, error) {
 	}, nil
 }
 
-// GatewayFlags bundles the flags of the shard-router front end
-// (cmd/wavegate and the benchjson gateway load generator): the listen
-// address, the backend list, and everything that maps onto a
-// gateway.Config.
+// GatewayFlags bundles the flags of the shard-router front end,
+// cmd/wavegate: the listen address, the backend list, and everything
+// that maps onto a gateway.Config.
 type GatewayFlags struct {
 	Addr            string
 	Backends        string

@@ -89,30 +89,6 @@ func (h *Histogram) snapshot() HistogramSnapshot {
 	return s
 }
 
-// Quantile returns an upper estimate of the q-quantile (0 < q <= 1): the
-// upper bound of the bucket the rank falls in. Samples beyond the last
-// bound return +Inf; an empty histogram returns 0.
-func (s HistogramSnapshot) Quantile(q float64) float64 {
-	if s.Count == 0 {
-		return 0
-	}
-	rank := int64(math.Ceil(q * float64(s.Count)))
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i, c := range s.Counts {
-		cum += c
-		if cum >= rank {
-			if i < len(s.Bounds) {
-				return s.Bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // Metrics is the service's registry. All fields are updated on the
 // request hot path with atomics only.
 type Metrics struct {

@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"math"
 	"strings"
 	"sync"
 	"testing"
@@ -66,31 +65,6 @@ func TestHistogramObserveConcurrent(t *testing.T) {
 	}
 	if s.Sum != 4000 {
 		t.Errorf("Sum = %g, want 4000 (CAS accumulation lost updates)", s.Sum)
-	}
-}
-
-func TestHistogramQuantile(t *testing.T) {
-	h := NewHistogram([]float64{1, 2, 4, 8})
-	for i := 0; i < 90; i++ {
-		h.Observe(0.5) // le=1
-	}
-	for i := 0; i < 9; i++ {
-		h.Observe(3) // le=4
-	}
-	h.Observe(100) // +Inf
-	s := h.snapshot()
-	if q := s.Quantile(0.5); q != 1 {
-		t.Errorf("p50 = %g, want 1", q)
-	}
-	if q := s.Quantile(0.95); q != 4 {
-		t.Errorf("p95 = %g, want 4", q)
-	}
-	if q := s.Quantile(1); !math.IsInf(q, 1) {
-		t.Errorf("p100 = %g, want +Inf", q)
-	}
-	var empty HistogramSnapshot
-	if q := empty.Quantile(0.5); q != 0 {
-		t.Errorf("empty quantile = %g, want 0", q)
 	}
 }
 

@@ -12,7 +12,7 @@
 // The paper's closing claim — a sustained rate of "30 images or more
 // per second", enough for real-time EOSDIS-scale processing — is
 // exactly the workload this layer schedules; cmd/waveserved wraps it in
-// a standalone daemon and cmd/benchjson -serve measures it.
+// a standalone daemon and wbench's service workload measures it.
 package serve
 
 import (
