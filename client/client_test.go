@@ -85,15 +85,47 @@ func TestDecomposeBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	requireBitIdentical(t, "serve", got, want)
+}
+
+// requireBitIdentical fails unless every band of got carries the same
+// Float64 bits as want.
+func requireBitIdentical(t *testing.T, label string, got, want *wavelet.Pyramid) {
+	t.Helper()
 	if got.Depth() != want.Depth() || !image.EqualBits(got.Approx, want.Approx) {
-		t.Fatal("pyramid approx not bit-identical to the in-process transform")
+		t.Fatalf("%s: pyramid approx not bit-identical to the in-process transform", label)
 	}
 	for i := range want.Levels {
 		if !image.EqualBits(got.Levels[i].LH, want.Levels[i].LH) ||
 			!image.EqualBits(got.Levels[i].HL, want.Levels[i].HL) ||
 			!image.EqualBits(got.Levels[i].HH, want.Levels[i].HH) {
-			t.Fatalf("detail level %d not bit-identical", i)
+			t.Fatalf("%s: detail level %d not bit-identical", label, i)
 		}
+	}
+}
+
+// TestDecomposeSceneSize sends a 2048x2048 scene, whose raster body is
+// 32 MiB plus its header, through serve and through a forwarding gateway
+// (tiling off): both bounds admit it and the bits come back unchanged.
+func TestDecomposeSceneSize(t *testing.T) {
+	im := image.Landsat(2048, 2048, 3)
+	want, err := wavelet.Decompose(im, filter.Daubechies8(), filter.Periodic, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req := DecomposeRequest{Bank: "db8", Levels: 3}
+	for _, tc := range []struct {
+		label string
+		c     *Client
+	}{
+		{"serve", newServeClient(t)},
+		{"gateway", newGatewayClient(t, 1, gateway.Config{Seed: 5})},
+	} {
+		got, err := tc.c.Decompose(context.Background(), im, req)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.label, err)
+		}
+		requireBitIdentical(t, tc.label, got, want)
 	}
 }
 

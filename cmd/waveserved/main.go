@@ -74,8 +74,8 @@ func run() int {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
-	log.Printf("listening on %s (filter %s, levels %d, queue %d, workers %d, batch %d, drain %v)",
-		sf.Addr, sf.Filter, sf.Levels, sf.Queue, cfg.Workers, sf.Batch, sf.Drain)
+	log.Printf("listening on %s (filter %s, levels %d, queue %d, workers %d, drain %v)",
+		sf.Addr, sf.Filter, sf.Levels, sf.Queue, cfg.Workers, sf.Drain)
 
 	select {
 	case err := <-errc:

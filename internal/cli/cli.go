@@ -188,7 +188,6 @@ type ServeFlags struct {
 	Levels   int
 	Queue    int
 	Workers  int
-	Batch    int
 	Deadline time.Duration
 	Drain    time.Duration
 }
@@ -200,7 +199,6 @@ func (f *ServeFlags) AddServe(fs *flag.FlagSet) {
 	fs.IntVar(&f.Levels, "levels", 3, "default decomposition levels")
 	fs.IntVar(&f.Queue, "queue", 64, "admission queue depth (full queue rejects with 503)")
 	fs.IntVar(&f.Workers, "workers", 0, "executor goroutines (0 = GOMAXPROCS)")
-	fs.IntVar(&f.Batch, "batch", 1, "micro-batch size (>= 2 batches compatible queued requests)")
 	fs.DurationVar(&f.Deadline, "deadline", 0, "server-imposed per-request deadline, e.g. 500ms (0 = none)")
 	fs.DurationVar(&f.Drain, "drain", 30*time.Second, "graceful-drain budget on SIGINT/SIGTERM; "+
 		"the process exits nonzero if in-flight work had to be abandoned")
@@ -226,7 +224,6 @@ func (f *ServeFlags) ServeConfig() (serve.Config, error) {
 		Levels:     f.Levels,
 		QueueDepth: f.Queue,
 		Workers:    f.Workers,
-		BatchSize:  f.Batch,
 	}, nil
 }
 

@@ -97,7 +97,7 @@ func TestServeFlagsConfig(t *testing.T) {
 	var f ServeFlags
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
 	f.AddServe(fs)
-	if err := fs.Parse([]string{"-filter", "haar", "-levels", "2", "-queue", "8", "-batch", "4", "-deadline", "250ms"}); err != nil {
+	if err := fs.Parse([]string{"-filter", "haar", "-levels", "2", "-queue", "8", "-deadline", "250ms"}); err != nil {
 		t.Fatal(err)
 	}
 	cfg, err := f.ServeConfig()
@@ -107,7 +107,7 @@ func TestServeFlagsConfig(t *testing.T) {
 	if cfg.Bank == nil || cfg.Bank.Name != "haar" {
 		t.Errorf("Bank = %v, want haar", cfg.Bank)
 	}
-	if cfg.Levels != 2 || cfg.QueueDepth != 8 || cfg.BatchSize != 4 {
+	if cfg.Levels != 2 || cfg.QueueDepth != 8 {
 		t.Errorf("cfg = %+v", cfg)
 	}
 	if f.Deadline != 250*time.Millisecond {

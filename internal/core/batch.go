@@ -31,8 +31,8 @@ type BatchResult struct {
 // any work starts. Once ctx ends, workers skip every image not yet
 // started and the call returns the context's error (images already in
 // flight run to completion, so the cancellation latency is one
-// transform). The serve layer's micro-batching uses this to honor
-// deadlines between images.
+// transform). DecomposeAllWith relies on this to honor the caller's
+// context between images.
 func DecomposeBatch(ctx context.Context, images []*image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*BatchResult, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

@@ -3,6 +3,8 @@ package gateway
 import (
 	"errors"
 	"fmt"
+
+	"wavelethpc/internal/proto"
 )
 
 // NoBackendsError is the typed fast-fail returned when no backend can
@@ -31,6 +33,11 @@ func (e *NoBackendsError) Error() string {
 
 // Unwrap exposes the last transport error for errors.Is/As chains.
 func (e *NoBackendsError) Unwrap() error { return e.Last }
+
+// errResponseTooLarge marks a backend response longer than
+// proto.MaxResponseBytes. The gateway neither forwards nor caches the
+// part it read, and does not retry: the client gets a 502.
+var errResponseTooLarge = fmt.Errorf("response exceeds %d bytes", proto.MaxResponseBytes)
 
 // ErrDraining is returned once Shutdown has begun: the gateway stops
 // admitting work while in-flight requests finish (graceful drain).

@@ -31,6 +31,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -41,6 +42,7 @@ import (
 	"time"
 
 	"wavelethpc/internal/fault"
+	"wavelethpc/internal/proto"
 	"wavelethpc/internal/wavelet"
 )
 
@@ -73,23 +75,16 @@ type Config struct {
 	// BreakerFailures opens a backend's breaker after this many
 	// consecutive failures (default 5).
 	BreakerFailures int
-	// BreakerErrorRate opens the breaker when the windowed failure
-	// fraction reaches it with BreakerMinSamples outcomes (defaults 0.5
-	// and 20 over a 2s window).
-	BreakerErrorRate  float64
-	BreakerMinSamples int
-	BreakerWindow     time.Duration
+	// BreakerErrorRate opens the breaker when the failure fraction over
+	// the last breakerWindow reaches it with at least breakerMinSamples
+	// outcomes (default 0.5).
+	BreakerErrorRate float64
 	// BreakerCooldown is how long an open breaker refuses before
 	// admitting a half-open trial (default 1s).
 	BreakerCooldown time.Duration
 	// ProbeInterval is the active health-check period (0 = 500ms;
 	// negative disables the background prober — ProbeOnce still works).
 	ProbeInterval time.Duration
-	// ProbePath is probed on each backend (default /readyz, so backends
-	// report saturation before hard rejection).
-	ProbePath string
-	// ProbeTimeout bounds one probe (default 250ms).
-	ProbeTimeout time.Duration
 	// CacheBytes bounds the content-addressed result cache in bytes of
 	// cached response payload (0 disables caching). Identical decompose
 	// requests — same image bytes, bank, levels, tol, and output, in any
@@ -115,6 +110,20 @@ type Config struct {
 	// (honoring context cancellation).
 	Sleep func(ctx context.Context, d time.Duration)
 }
+
+// Fixed breaker and probe settings.
+const (
+	// breakerMinSamples is how many outcomes the error-rate window must
+	// hold before BreakerErrorRate can open a breaker.
+	breakerMinSamples = 20
+	// breakerWindow is the span of the error-rate window.
+	breakerWindow = 2 * time.Second
+	// probePath is fetched on each backend: /readyz, so backends report
+	// saturation before hard rejection.
+	probePath = "/readyz"
+	// probeTimeout bounds one probe.
+	probeTimeout = 250 * time.Millisecond
+)
 
 // RouteKey is the routing affinity of one request: requests sharing a
 // key always rank backends identically, so a backend keeps serving the
@@ -260,23 +269,11 @@ func New(cfg Config) (*Gateway, error) {
 	if cfg.BreakerErrorRate == 0 {
 		cfg.BreakerErrorRate = 0.5
 	}
-	if cfg.BreakerMinSamples == 0 {
-		cfg.BreakerMinSamples = 20
-	}
-	if cfg.BreakerWindow == 0 {
-		cfg.BreakerWindow = 2 * time.Second
-	}
 	if cfg.BreakerCooldown == 0 {
 		cfg.BreakerCooldown = time.Second
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = 500 * time.Millisecond
-	}
-	if cfg.ProbePath == "" {
-		cfg.ProbePath = "/readyz"
-	}
-	if cfg.ProbeTimeout == 0 {
-		cfg.ProbeTimeout = 250 * time.Millisecond
 	}
 	g := &Gateway{
 		cfg:       cfg,
@@ -314,8 +311,8 @@ func New(cfg Config) (*Gateway, error) {
 	bcfg := breakerConfig{
 		failures:   cfg.BreakerFailures,
 		errorRate:  cfg.BreakerErrorRate,
-		minSamples: cfg.BreakerMinSamples,
-		window:     cfg.BreakerWindow,
+		minSamples: breakerMinSamples,
+		window:     breakerWindow,
 		cooldown:   cfg.BreakerCooldown,
 	}
 	for _, name := range names {
@@ -472,6 +469,11 @@ func (g *Gateway) route(ctx context.Context, req *Request) (*Result, error) {
 			res.Attempts = attempts
 			return res, nil
 		}
+		if errors.Is(err, errResponseTooLarge) {
+			// Every backend would answer alike: fail now, not after
+			// the retries.
+			return nil, err
+		}
 		if err != nil {
 			lastErr = err
 		} else {
@@ -610,12 +612,19 @@ func (g *Gateway) roundTrip(ctx context.Context, b *backend, req *Request, timeo
 		b.bm.Failures.Add(1)
 		return nil, fmt.Errorf("gateway: backend %s: %w", b.name, err)
 	}
-	payload, err := io.ReadAll(io.LimitReader(resp.Body, maxResponseBytes))
+	payload, err := io.ReadAll(io.LimitReader(resp.Body, proto.MaxResponseBytes+1))
 	resp.Body.Close()
 	if err != nil {
 		b.br.reportFailure()
 		b.bm.Failures.Add(1)
 		return nil, fmt.Errorf("gateway: reading %s response: %w", b.name, err)
+	}
+	if int64(len(payload)) > proto.MaxResponseBytes {
+		// The backend answered, so its health stands; the response is
+		// what cannot be relayed.
+		b.br.reportSuccess()
+		b.bm.Successes.Add(1)
+		return nil, fmt.Errorf("gateway: backend %s: %w", b.name, errResponseTooLarge)
 	}
 	res := &Result{Status: resp.StatusCode, Header: resp.Header, Body: payload, Backend: b.name}
 	if resp.StatusCode >= 500 {
@@ -628,12 +637,8 @@ func (g *Gateway) roundTrip(ctx context.Context, b *backend, req *Request, timeo
 	return res, nil
 }
 
-// maxResponseBytes bounds a buffered backend response (a decomposed
-// 4096x4096 PGM fits comfortably).
-const maxResponseBytes = 64 << 20
-
 // ProbeOnce runs one synchronous health-check round: every backend's
-// ProbePath is fetched and the result fed to its breaker. Exposed so
+// probePath is fetched and the result fed to its breaker. Exposed so
 // operators (and the deterministic chaos suite) can drive probing
 // without the background loop.
 func (g *Gateway) ProbeOnce(ctx context.Context) {
@@ -649,10 +654,10 @@ func (g *Gateway) ProbeOnce(ctx context.Context) {
 }
 
 func (g *Gateway) probe(ctx context.Context, b *backend) {
-	actx, cancel := context.WithTimeout(ctx, g.cfg.ProbeTimeout)
+	actx, cancel := context.WithTimeout(ctx, probeTimeout)
 	defer cancel()
 	u := *b.base
-	u.Path = g.cfg.ProbePath
+	u.Path = probePath
 	hreq, err := http.NewRequestWithContext(actx, http.MethodGet, u.String(), nil)
 	if err != nil {
 		b.bm.ProbeFailures.Add(1)

@@ -235,6 +235,65 @@ func TestForwardsBackend4xxWithoutRetry(t *testing.T) {
 	}
 }
 
+// roundTripFunc adapts a function to http.RoundTripper.
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// zeros is an endless stream of zero bytes.
+type zeros struct{}
+
+func (zeros) Read(p []byte) (int, error) {
+	clear(p)
+	return len(p), nil
+}
+
+// TestOversizedResponseIsBadGateway: a backend body one byte past
+// proto.MaxResponseBytes is never forwarded as the backend's 2xx, never
+// cached and never retried; the client gets a typed 502.
+func TestOversizedResponseIsBadGateway(t *testing.T) {
+	var calls atomic.Int64
+	g := newTestGateway(t, Config{
+		Backends:   []string{"http://a.example:1", "http://b.example:1"},
+		Seed:       1,
+		CacheBytes: 1 << 30,
+		Transport: roundTripFunc(func(r *http.Request) (*http.Response, error) {
+			calls.Add(1)
+			io.Copy(io.Discard, r.Body)
+			return &http.Response{
+				StatusCode:    http.StatusOK,
+				Header:        http.Header{"Content-Type": {proto.ContentTypePyramid}},
+				Body:          io.NopCloser(io.LimitReader(zeros{}, proto.MaxResponseBytes+1)),
+				ContentLength: -1,
+				Request:       r,
+			}, nil
+		}),
+	})
+	var pgm bytes.Buffer
+	if err := image.WritePGM(&pgm, image.Landsat(8, 8, 1)); err != nil {
+		t.Fatal(err)
+	}
+	h := g.Handler()
+	for round := 1; round <= 2; round++ {
+		req := httptest.NewRequest(http.MethodPost,
+			"/v1/decompose?bank=haar&levels=1&output=pyramid", bytes.NewReader(pgm.Bytes()))
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		if rec.Code != http.StatusBadGateway {
+			t.Fatalf("round %d: status = %d with %d body bytes, want 502", round, rec.Code, rec.Body.Len())
+		}
+		if e := proto.DecodeError(rec.Code, rec.Body.Bytes()); e.Code != proto.CodeBadGateway {
+			t.Fatalf("round %d: code = %q, want %q", round, e.Code, proto.CodeBadGateway)
+		}
+		if got := calls.Load(); got != int64(round) {
+			t.Fatalf("round %d: %d backend round trips, want %d (no retry, no cache)", round, got, round)
+		}
+	}
+	if entries, _ := g.CacheStats(); entries != 0 {
+		t.Errorf("cache holds %d entries, want 0", entries)
+	}
+}
+
 func TestAllBackendsDownTypedError(t *testing.T) {
 	b1, b2 := newStubBackend(t), newStubBackend(t)
 	u1, u2 := b1.srv.URL, b2.srv.URL

@@ -12,9 +12,6 @@ import (
 	"wavelethpc/internal/proto"
 )
 
-// maxBodyBytes mirrors the serve layer's upload bound.
-const maxBodyBytes = 32 << 20
-
 // Handler returns the gateway's HTTP surface:
 //
 //	POST /v1/decompose  buffered and routed by (shape, bank, levels)
@@ -42,7 +39,7 @@ func (g *Gateway) handleDecompose(w http.ResponseWriter, r *http.Request) {
 			"POST a binary PGM body (or the v1 JSON form)"))
 		return
 	}
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, proto.MaxRequestBytes))
 	if err != nil {
 		proto.WriteError(w, proto.NewError(http.StatusBadRequest, proto.CodeBadRequest,
 			"reading body: %v", err))

@@ -29,6 +29,24 @@ const (
 const (
 	maxCodecDim    = 1 << 16
 	maxCodecPixels = 1 << 24
+	// maxDimLen is the uvarint length of a dimension <= maxCodecDim.
+	maxDimLen = 3
+	// maxBankNameLen bounds the bank name a pyramid header carries.
+	maxBankNameLen = 64
+)
+
+// Body bounds of the HTTP surfaces, derived from maxCodecPixels so that
+// every wire form admits the same largest image.
+const (
+	// MaxRequestBytes bounds a /v1/decompose request body: the raster
+	// form of a maxCodecPixels image. At 8 bytes a pixel the raster is
+	// the widest request form; a PGM spends 1 or 2, the JSON form the
+	// base64 of a PGM.
+	MaxRequestBytes = int64(len(rasterMagic) + 1 + 2*maxDimLen + 8*maxCodecPixels)
+	// MaxResponseBytes bounds a decompose response body: the pyramid
+	// codec of that image (its bands hold exactly its pixels) under the
+	// widest header. The PGM output forms are smaller.
+	MaxResponseBytes = int64(len(pyramidMagic) + 1 + 1 + maxBankNameLen + 1 + 1 + 2*maxDimLen + 8*maxCodecPixels)
 )
 
 // CodecError is the typed decode failure of the binary codecs.
@@ -156,7 +174,7 @@ func DecodePyramid(r io.Reader) (*wavelet.Pyramid, error) {
 		return nil, err
 	}
 	nameLen, err := binary.ReadUvarint(br)
-	if err != nil || nameLen == 0 || nameLen > 64 {
+	if err != nil || nameLen == 0 || nameLen > maxBankNameLen {
 		return nil, codecErr("pyramid", "bad bank name length")
 	}
 	name := make([]byte, nameLen)

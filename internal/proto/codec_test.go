@@ -430,3 +430,26 @@ func TestEncodeWriteError(t *testing.T) {
 		t.Fatalf("EncodePyramid err = %v, want %v", err, errRefused)
 	}
 }
+
+// TestBodyBoundsAdmitLargestImage: every maxCodecPixels shape fits the
+// request bound as a raster and the response bound as a pyramid, and one
+// more pixel row would not.
+func TestBodyBoundsAdmitLargestImage(t *testing.T) {
+	longName := &filter.Bank{Name: strings.Repeat("x", maxBankNameLen)}
+	for _, shape := range [][2]int{{1 << 12, 1 << 12}, {maxCodecDim, maxCodecPixels / maxCodecDim}, {maxCodecPixels / maxCodecDim, maxCodecDim}} {
+		rows, cols := shape[0], shape[1]
+		if n := int64(RasterSize(rows, cols)); n > MaxRequestBytes {
+			t.Errorf("%dx%d raster is %d bytes, over MaxRequestBytes %d", rows, cols, n, MaxRequestBytes)
+		}
+		if n := int64(RasterSize(rows+1, cols)); n <= MaxRequestBytes {
+			t.Errorf("%dx%d raster is %d bytes, within MaxRequestBytes %d", rows+1, cols, n, MaxRequestBytes)
+		}
+		// One level: the approx and details hold rows*cols coefficients.
+		half := &image.Image{Rows: rows / 2, Cols: cols / 2}
+		p := &wavelet.Pyramid{Bank: longName, Approx: half,
+			Levels: []wavelet.DetailBands{{LH: half, HL: half, HH: half}}}
+		if n := int64(DecomposeResponseSize(p, OutputPyramid)); n > MaxResponseBytes {
+			t.Errorf("%dx%d pyramid is %d bytes, over MaxResponseBytes %d", rows, cols, n, MaxResponseBytes)
+		}
+	}
+}

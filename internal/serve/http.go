@@ -12,11 +12,6 @@ import (
 	"wavelethpc/internal/wavelet"
 )
 
-// maxBodyBytes bounds an uploaded PGM. A maxPGMPixels-sized image is
-// ~16 MiB of pixel bytes; 32 MiB leaves header room without letting a
-// client stream unbounded data at the decoder.
-const maxBodyBytes = 32 << 20
-
 // Handler returns the service's HTTP surface:
 //
 //	POST /v1/decompose  One request, three wire forms (internal/proto):
@@ -65,7 +60,7 @@ func (s *Server) handleDecompose(w http.ResponseWriter, r *http.Request) {
 	// envelope, image decoding — lives in internal/proto, shared with the
 	// gateway. Tolerance range validation (negative, NaN, Inf) stays in
 	// Do, which rejects with a typed *wavelet.UsageError mapped to 400.
-	preq, perr := proto.ParseDecompose(w, r, maxBodyBytes)
+	preq, perr := proto.ParseDecompose(w, r, proto.MaxRequestBytes)
 	if perr != nil {
 		proto.WriteError(w, perr)
 		return

@@ -102,15 +102,10 @@ type Metrics struct {
 	Errors Counter
 	// Expired counts requests whose context ended before execution.
 	Expired Counter
-	// BatchedImages counts images processed through micro-batches of
-	// size >= 2.
-	BatchedImages Counter
 	// Latency observes seconds from admission to completion.
 	Latency *Histogram
 	// QueueDepth observes the queue depth seen at each admission.
 	QueueDepth *Histogram
-	// BatchSize observes the size of each executed batch (1 = unbatched).
-	BatchSize *Histogram
 }
 
 func newMetrics() *Metrics {
@@ -120,35 +115,30 @@ func newMetrics() *Metrics {
 			0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
 		}),
 		QueueDepth: NewHistogram([]float64{0, 1, 2, 4, 8, 16, 32, 64, 128, 256}),
-		BatchSize:  NewHistogram([]float64{1, 2, 4, 8, 16, 32}),
 	}
 }
 
 // Snapshot is a point-in-time copy of every metric.
 type Snapshot struct {
-	Accepted      int64             `json:"accepted"`
-	Rejected      int64             `json:"rejected"`
-	Completed     int64             `json:"completed"`
-	Errors        int64             `json:"errors"`
-	Expired       int64             `json:"expired"`
-	BatchedImages int64             `json:"batched_images"`
-	Latency       HistogramSnapshot `json:"latency_seconds"`
-	QueueDepth    HistogramSnapshot `json:"queue_depth"`
-	BatchSize     HistogramSnapshot `json:"batch_size"`
+	Accepted   int64             `json:"accepted"`
+	Rejected   int64             `json:"rejected"`
+	Completed  int64             `json:"completed"`
+	Errors     int64             `json:"errors"`
+	Expired    int64             `json:"expired"`
+	Latency    HistogramSnapshot `json:"latency_seconds"`
+	QueueDepth HistogramSnapshot `json:"queue_depth"`
 }
 
 // Snapshot copies the registry.
 func (m *Metrics) Snapshot() Snapshot {
 	return Snapshot{
-		Accepted:      m.Accepted.Value(),
-		Rejected:      m.Rejected.Value(),
-		Completed:     m.Completed.Value(),
-		Errors:        m.Errors.Value(),
-		Expired:       m.Expired.Value(),
-		BatchedImages: m.BatchedImages.Value(),
-		Latency:       m.Latency.snapshot(),
-		QueueDepth:    m.QueueDepth.snapshot(),
-		BatchSize:     m.BatchSize.snapshot(),
+		Accepted:   m.Accepted.Value(),
+		Rejected:   m.Rejected.Value(),
+		Completed:  m.Completed.Value(),
+		Errors:     m.Errors.Value(),
+		Expired:    m.Expired.Value(),
+		Latency:    m.Latency.snapshot(),
+		QueueDepth: m.QueueDepth.snapshot(),
 	}
 }
 
@@ -164,7 +154,6 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 		{"waveserve_completed_total", "requests completed successfully", s.Completed},
 		{"waveserve_errors_total", "requests failed during execution", s.Errors},
 		{"waveserve_expired_total", "requests expired before execution", s.Expired},
-		{"waveserve_batched_images_total", "images processed in micro-batches", s.BatchedImages},
 	}
 	for _, c := range counters {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
@@ -178,7 +167,6 @@ func (s Snapshot) WriteProm(w io.Writer) error {
 	}{
 		{"waveserve_latency_seconds", "admission-to-completion latency", s.Latency},
 		{"waveserve_queue_depth", "queue depth observed at admission", s.QueueDepth},
-		{"waveserve_batch_size", "executed micro-batch sizes", s.BatchSize},
 	}
 	for _, h := range hists {
 		if err := WritePromHistogram(w, h.name, h.help, h.h); err != nil {

@@ -3,11 +3,10 @@
 // production traffic. It owns a bounded admission queue with
 // deterministic overload rejection (*OverloadError, never a blocking
 // wait), per-(rows, cols, bank, levels) pools of reused
-// wavelet.Decomposers, optional micro-batching of compatible requests
-// onto the internal/core worker pool, per-request deadlines via
-// context.Context, graceful drain on shutdown, and a zero-dependency
-// atomic metrics registry exposed through Snapshot and the net/http
-// handler set (/v1/decompose, /healthz, /metrics).
+// wavelet.Decomposers that every request executes through, per-request
+// deadlines via context.Context, graceful drain on shutdown, and a
+// zero-dependency atomic metrics registry exposed through Snapshot and
+// the net/http handler set (/v1/decompose, /healthz, /metrics).
 //
 // The paper's closing claim — a sustained rate of "30 images or more
 // per second", enough for real-time EOSDIS-scale processing — is
@@ -24,7 +23,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wavelethpc/internal/core"
 	"wavelethpc/internal/filter"
 	"wavelethpc/internal/image"
 	"wavelethpc/internal/wavelet"
@@ -47,14 +45,6 @@ type Config struct {
 	QueueDepth int
 	// Workers is the number of executor goroutines (0 = GOMAXPROCS).
 	Workers int
-	// BatchSize enables micro-batching when >= 2: an executor that
-	// pops a request drains up to BatchSize-1 more already-queued
-	// compatible requests (same shape, bank, and depth) and runs them
-	// through the internal/core batch pool in one go. 0 or 1 disables.
-	BatchSize int
-	// BatchWorkers is the worker count inside one micro-batch
-	// (0 = GOMAXPROCS); only meaningful with BatchSize >= 2.
-	BatchWorkers int
 	// Clock injects a time source for tests; nil uses the wall clock.
 	Clock func() time.Time
 }
@@ -85,9 +75,8 @@ type Request struct {
 // Decomposer backing Pyramid to the server, after which Pyramid must
 // not be read; call Detach first to keep a private copy.
 type Result struct {
-	// Pyramid is the decomposition. For pooled (unbatched) results it
-	// references the Decomposer's reused buffers and is invalidated by
-	// Close.
+	// Pyramid is the decomposition. It references the pooled
+	// Decomposer's reused buffers and is invalidated by Close.
 	Pyramid *wavelet.Pyramid
 
 	release  func()
@@ -158,7 +147,7 @@ type Server struct {
 	created atomic.Int64
 
 	// execHook, when set (tests only), runs at the start of each
-	// executor iteration, before batching and execution.
+	// executor iteration, before execution.
 	execHook func()
 }
 
@@ -172,9 +161,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Levels < 0 {
 		return nil, badConfig("Levels = %d, want >= 0", cfg.Levels)
-	}
-	if cfg.BatchSize < 0 {
-		return nil, badConfig("BatchSize = %d, want >= 0", cfg.BatchSize)
 	}
 	switch cfg.Extension {
 	case filter.Periodic, filter.Symmetric, filter.Zero:
@@ -192,9 +178,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	if cfg.Workers == 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
-	}
-	if cfg.BatchSize == 0 {
-		cfg.BatchSize = 1
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -330,8 +313,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
-// executor is one worker goroutine: it pops a job, optionally drains a
-// micro-batch of compatible neighbors, and executes.
+// executor is one worker goroutine: it pops a job and executes it,
+// unless the job's context already ended.
 func (s *Server) executor() {
 	defer s.wg.Done()
 	for j := range s.queue {
@@ -342,61 +325,14 @@ func (s *Server) executor() {
 			s.expire(j)
 			continue
 		}
-		batch := []*job{j}
-		for len(batch) < s.cfg.BatchSize {
-			select {
-			case j2, ok := <-s.queue:
-				if !ok {
-					s.executeGroups(batch)
-					return
-				}
-				if j2.ctx.Err() != nil {
-					s.expire(j2)
-					continue
-				}
-				batch = append(batch, j2)
-			default:
-				goto drained
-			}
-		}
-	drained:
-		s.executeGroups(batch)
+		s.executeOne(j)
 	}
 }
 
 // expire reports a request whose context ended before execution.
 func (s *Server) expire(j *job) {
 	s.metrics.Expired.Add(1)
-	s.respond(j, nil, j.ctx.Err())
-}
-
-// executeGroups partitions a drained batch by pool key (a micro-batch
-// may have raced with unrelated traffic) and executes each group. The
-// partition is in place — a stable shift of the matching jobs to the
-// front — so the steady-state execution path stays allocation-free
-// (hotalloc-checked via the executor's annotated callees).
-func (s *Server) executeGroups(batch []*job) {
-	for len(batch) > 0 {
-		key := batch[0].key
-		n := 0
-		for i, j := range batch {
-			if j.key == key {
-				if i != n {
-					copy(batch[n+1:i+1], batch[n:i])
-					batch[n] = j
-				}
-				n++
-			}
-		}
-		group := batch[:n]
-		s.metrics.BatchSize.Observe(float64(len(group)))
-		if len(group) == 1 {
-			s.executeOne(group[0])
-		} else {
-			s.executeBatch(group)
-		}
-		batch = batch[n:]
-	}
+	s.deliver(j, nil, j.ctx.Err())
 }
 
 // executeOne runs a single request through its shape's Decomposer pool.
@@ -406,7 +342,7 @@ func (s *Server) executeOne(j *job) {
 	if err != nil {
 		s.putDecomposer(j.key, dec)
 		s.metrics.Errors.Add(1)
-		s.respond(j, nil, err)
+		s.deliver(j, nil, err)
 		return
 	}
 	key, d := j.key, dec
@@ -414,52 +350,22 @@ func (s *Server) executeOne(j *job) {
 	s.complete(j, res)
 }
 
-// executeBatch runs a compatible group through the internal/core batch
-// pool. Batch pyramids are independently allocated, so their Results
-// need no release.
-func (s *Server) executeBatch(group []*job) {
-	images := make([]*image.Image, len(group))
-	for i, j := range group {
-		images[i] = j.im
-	}
-	j0 := group[0]
-	br, err := s.decomposeBatch(images, j0.bank, j0.levels, j0.key.tol)
-	if err != nil {
-		for _, j := range group {
-			s.metrics.Errors.Add(1)
-			s.respond(j, nil, err)
-		}
-		return
-	}
-	s.metrics.BatchedImages.Add(int64(len(group)))
-	for i, j := range group {
-		s.complete(j, &Result{Pyramid: br.Pyramids[i]})
-	}
-}
-
-func (s *Server) decomposeBatch(images []*image.Image, bank *filter.Bank, levels int, tol float64) (br *core.BatchResult, err error) {
-	defer recoverToError(&err)
-	return core.DecomposeBatch(context.Background(), images, bank, s.cfg.Extension, levels, s.cfg.BatchWorkers, tol)
-}
-
 // decompose shields the serve boundary: a *wavelet.UsageError panic
 // from a contract violation (or any other panic) becomes an error
 // response, never a crashed executor.
 func (s *Server) decompose(fn func() (*wavelet.Pyramid, error)) (p *wavelet.Pyramid, err error) {
-	defer recoverToError(&err)
+	defer func() {
+		r := recover()
+		if r == nil {
+			return
+		}
+		if ue, ok := r.(*wavelet.UsageError); ok {
+			err = fmt.Errorf("serve: decomposition rejected: %w", ue)
+			return
+		}
+		err = fmt.Errorf("serve: decomposition panicked: %v", r)
+	}()
 	return fn()
-}
-
-func recoverToError(err *error) {
-	r := recover()
-	if r == nil {
-		return
-	}
-	if ue, ok := r.(*wavelet.UsageError); ok {
-		*err = fmt.Errorf("serve: decomposition rejected: %w", ue)
-		return
-	}
-	*err = fmt.Errorf("serve: decomposition panicked: %v", r)
 }
 
 // complete delivers a successful result, recording latency. If the
@@ -470,11 +376,6 @@ func (s *Server) complete(j *job, res *Result) {
 	if !s.deliver(j, res, nil) {
 		res.Close()
 	}
-}
-
-// respond delivers an error response (or discards it if abandoned).
-func (s *Server) respond(j *job, res *Result, err error) {
-	s.deliver(j, res, err)
 }
 
 // deliver hands the response to the waiting Do unless the requester's

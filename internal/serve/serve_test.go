@@ -301,58 +301,6 @@ func TestPooledDecomposersNotSharedConcurrently(t *testing.T) {
 	}
 }
 
-// TestMicroBatch: with BatchSize=4 and one worker, eight queued
-// compatible requests execute as two batches of four through the core
-// batch pool, every result still bit-identical to the reference.
-func TestMicroBatch(t *testing.T) {
-	s, err := New(Config{Workers: 1, QueueDepth: 16, Levels: 2, BatchSize: 4, BatchWorkers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Shutdown(context.Background())
-	gate := make(chan struct{})
-	entered := make(chan struct{}, 16)
-	blockedOnce := false
-	s.execHook = func() {
-		if !blockedOnce { // single worker: no concurrent hook calls
-			blockedOnce = true
-			entered <- struct{}{}
-			<-gate
-		}
-	}
-
-	im := image.Landsat(32, 32, 9)
-	const n = 8
-	results := make(chan error, n)
-	submit := func() {
-		res, err := s.Do(context.Background(), Request{Image: im})
-		if err == nil {
-			requirePyramidMatchesReference(t, "batched", im, s.cfg.Bank, 2, res.Pyramid)
-			res.Close()
-		}
-		results <- err
-	}
-	go submit()
-	<-entered // first request popped and held
-	for i := 1; i < n; i++ {
-		go submit()
-	}
-	waitCounter(t, &s.metrics.Accepted, n)
-	close(gate)
-	for i := 0; i < n; i++ {
-		if err := <-results; err != nil {
-			t.Fatalf("batched request failed: %v", err)
-		}
-	}
-	snap := s.metrics.Snapshot()
-	if snap.BatchedImages != n {
-		t.Errorf("BatchedImages = %d, want %d (two batches of four)", snap.BatchedImages, n)
-	}
-	if snap.Completed != n {
-		t.Errorf("Completed = %d, want %d", snap.Completed, n)
-	}
-}
-
 // TestMetricsSnapshotCountsMatchRequests: the registry's counters must
 // agree exactly with the requests issued.
 func TestMetricsSnapshotCountsMatchRequests(t *testing.T) {
@@ -392,7 +340,6 @@ func TestConfigAndRequestValidation(t *testing.T) {
 		{QueueDepth: -1},
 		{Workers: -2},
 		{Levels: -3},
-		{BatchSize: -1},
 		{Extension: filter.Extension(99)},
 	} {
 		_, err := New(cfg)

@@ -21,7 +21,7 @@ import (
 // under the churn.
 func TestShutdownRaceEveryRequestOneOutcome(t *testing.T) {
 	const workers = 2
-	s, err := New(Config{QueueDepth: 8, Workers: workers, BatchSize: 1})
+	s, err := New(Config{QueueDepth: 8, Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,10 +179,11 @@ func TestHTTPToleranceParam(t *testing.T) {
 	}
 }
 
-// TestBatchCarriesTolerance: micro-batched compatible requests share a
-// tolerance class and still complete within drift.
-func TestBatchCarriesTolerance(t *testing.T) {
-	s, err := New(Config{Workers: 1, Levels: 2, BatchSize: 4, BatchWorkers: 2})
+// TestRepeatedToleranceRequestsWithinDrift: repeated tolerant requests
+// on one worker reuse the pooled lifting-tier Decomposer, and every
+// result stays within drift.
+func TestRepeatedToleranceRequestsWithinDrift(t *testing.T) {
+	s, err := New(Config{Workers: 1, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestBatchCarriesTolerance(t *testing.T) {
 		}
 		res.Close()
 		if maxDiff/maxRef > eps {
-			t.Fatalf("batched tolerant result drifts %.3g, want <= %.3g", maxDiff/maxRef, eps)
+			t.Fatalf("request %d: tolerant result drifts %.3g, want <= %.3g", i, maxDiff/maxRef, eps)
 		}
 	}
 }
