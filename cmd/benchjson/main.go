@@ -7,10 +7,11 @@
 // path, and the shared-memory parallel transform; then the inverse, as
 // a warm 5-level Reconstruct and a 4-worker ParallelReconstruct of the
 // same scene; then each level of the three-level transform as one
-// whole-level fused kernel call, forward and inverse; then the four wire
-// codecs on a 256-square db8 request. The derived block records the
-// headline ratios the PR gates check (fast-vs-reference speedup,
-// steady-state allocations).
+// whole-level fused kernel call, forward and inverse; then the lifting
+// tier's fused level kernel against the two-pass kernels it replaced;
+// then the four wire codecs on a 256-square db8 request. The derived
+// block records the headline ratios the PR gates check
+// (fast-vs-reference speedup, steady-state allocations).
 //
 // Usage:
 //
@@ -168,6 +169,7 @@ func main() {
 		}
 	})
 	rep.Results = append([]result{steady, oneShot, ref, par4, recon, parRecon}, levelResults(im, bank, levels)...)
+	rep.Results = append(rep.Results, liftResults()...)
 	rep.Results = append(rep.Results, codecResults()...)
 
 	rep.Derived["speedup_steady_vs_reference"] = ref.NsPerOp / steady.NsPerOp
@@ -264,6 +266,82 @@ func levelResults(im *image.Image, bank *filter.Bank, levels int) []result {
 				kernel.SynthesizeLevelRange(out[l], approx[l], d.LH, d.HL, d.HH, bank, ext, 0, out[l].Rows, &ring)
 			}
 		}))
+	}
+	return rs
+}
+
+// liftResults times the lifting tier's level kernels on rbio4.4 at its
+// Eps, the scheme scene runs: the fused kernel.LiftLevelRange and the
+// two-pass LiftRowsRange + LiftColsRange it replaced, on the first
+// level of a 2048² scene, and the fused kernel on each level of the
+// suite's 512² transform. Before anything is timed, every fused level
+// is checked Float64bits-equal to the two-pass output and allocation
+// free on a warm ring.
+func liftResults() []result {
+	bank, err := filter.ByName("rbio4.4")
+	if err != nil {
+		log.Fatal(err)
+	}
+	sch := wavelet.LiftingFor(bank, filter.Periodic, 1)
+	if sch == nil {
+		log.Fatal("rbio4.4 has no lifting scheme")
+	}
+	type level struct {
+		name string
+		src  *image.Image
+		b    [4]*image.Image // ll, lh, hl, hh
+	}
+	newLevel := func(name string, src *image.Image) level {
+		lv := level{name: name, src: src}
+		for k := range lv.b {
+			lv.b[k] = image.New(src.Rows/2, src.Cols/2)
+		}
+		return lv
+	}
+	twoPass := func(lv level) {
+		b, c := lv.b, lv.src.Cols/2
+		kernel.LiftRowsRange(b[0], b[1], b[2], b[3], lv.src, sch, 0, lv.src.Rows)
+		kernel.LiftColsRange(b[0], b[1], sch, 0, c)
+		kernel.LiftColsRange(b[2], b[3], sch, 0, c)
+	}
+	var ring kernel.Ring
+	fused := func(lv level) {
+		b := lv.b
+		kernel.LiftLevelRange(b[0], b[1], b[2], b[3], lv.src, sch, 0, lv.src.Rows/2, &ring)
+	}
+	levels := []level{newLevel("LiftLevel2048_L1", image.Landsat(2048, 2048, 42))}
+	src := image.Landsat(512, 512, 42)
+	for l := range 3 {
+		levels = append(levels, newLevel(fmt.Sprintf("LiftLevel512_L%d", l+1), src))
+		src = levels[len(levels)-1].b[0]
+	}
+	for _, lv := range levels {
+		want := newLevel("", lv.src)
+		twoPass(want)
+		fused(lv)
+		for k := range lv.b {
+			if !image.EqualBits(lv.b[k], want.b[k]) {
+				log.Fatalf("%s: LiftLevelRange differs from the two-pass lifting kernels", lv.name)
+			}
+		}
+		if n := testing.AllocsPerRun(3, func() { fused(lv) }); n != 0 {
+			log.Fatalf("%s: LiftLevelRange allocates %.0f times per call", lv.name, n)
+		}
+	}
+	bench := func(name string, fn func()) result {
+		return measure(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				fn()
+			}
+		})
+	}
+	rs := []result{
+		bench(levels[0].name, func() { fused(levels[0]) }),
+		bench("LiftTwoPass2048_L1", func() { twoPass(levels[0]) }),
+	}
+	for _, lv := range levels[1:] {
+		rs = append(rs, bench(lv.name, func() { fused(lv) }))
 	}
 	return rs
 }

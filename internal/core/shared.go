@@ -25,17 +25,17 @@ import (
 // im using the given number of worker goroutines (0 means GOMAXPROCS).
 // It runs wavelet.DecomposeRanges, the level driver behind
 // wavelet.DecomposeTol, on a persistent pool (one goroutine set for the
-// whole transform) under the tier wavelet.LiftingFor picks. On the
-// fused convolution tier each worker gets a range of a level's output
-// rows for the row-and-column sweep; on the lifting tier (a tolerance
-// that covers the bank's scheme, periodic extension) each level runs one
-// scatter row pass and then the in-place column pass over disjoint
-// panels. Every range writes its own outputs and computes them in the
-// sequential order with the same internal/wavelet/kernel code, so the
-// result is bit-identical to wavelet.DecomposeTol regardless of worker
-// count, and with tol = 0 to wavelet.Decompose. Range scratch comes from
-// the shared kernel pools, so only the retained pyramid bands are
-// allocated.
+// whole transform) under the tier wavelet.LiftingFor picks. On either
+// tier each level is one sweep and one pool barrier: each worker gets a
+// range of the level's output rows for the fused convolution sweep, or,
+// on the lifting tier (a tolerance that covers the bank's scheme,
+// periodic extension), for the fused lifting sweep, which recomputes its
+// range's halo rows itself. Every range writes its own outputs and
+// computes them in the sequential order with the same
+// internal/wavelet/kernel code, so the result is bit-identical to
+// wavelet.DecomposeTol regardless of worker count, and with tol = 0 to
+// wavelet.Decompose. Range scratch comes from the shared kernel pools,
+// so only the retained pyramid bands are allocated.
 func ParallelDecomposeTol(im *image.Image, bank *filter.Bank, ext filter.Extension, levels, workers int, tol float64) (*wavelet.Pyramid, error) {
 	if err := wavelet.CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err

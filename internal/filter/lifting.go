@@ -93,15 +93,17 @@ func (s *LiftingScheme) MACs() int {
 	return n
 }
 
-// liftCache memoizes factorizations by bank name. Registered banks are
-// deterministic per name (the same assumption the serve layer's
-// Decomposer pooling makes), so the cache never goes stale; a custom
-// bank reusing a registered name must reuse its coefficients.
-var liftCache sync.Map // string -> liftEntry
+// liftCache memoizes factorizations by bank name. Bank's fields are
+// public, so a custom bank may reuse a name with other coefficients: an
+// entry keeps a copy of the analysis pair it was factored from, a hit
+// must match the bank's DecLo and DecHi bit for bit, and a mismatch
+// factors the bank again and replaces the entry.
+var liftCache sync.Map // string -> *liftEntry
 
 type liftEntry struct {
-	sch *LiftingScheme
-	err error
+	decLo, decHi []float64
+	sch          *LiftingScheme
+	err          error
 }
 
 // Lifting returns the lifting factorization of the bank's analysis pair,
@@ -109,18 +111,38 @@ type liftEntry struct {
 // does not reduce to monomial form (or whose factored scheme fails the
 // numerical validation against direct convolution) return an error; the
 // dispatch layer treats that as "no lifting tier" and stays on the
-// convolution kernels.
+// convolution kernels. A cache hit costs one comparison of the analysis
+// pair and allocates nothing.
 func Lifting(b *Bank) (*LiftingScheme, error) {
 	if b == nil || len(b.DecLo) == 0 || len(b.DecHi) == 0 {
 		return nil, fmt.Errorf("filter: lifting: bank has empty analysis pair")
 	}
 	if e, ok := liftCache.Load(b.Name); ok {
-		ent := e.(liftEntry)
-		return ent.sch, ent.err
+		ent := e.(*liftEntry)
+		if sameBits(ent.decLo, b.DecLo) && sameBits(ent.decHi, b.DecHi) {
+			return ent.sch, ent.err
+		}
 	}
 	sch, err := factorLifting(b)
-	liftCache.Store(b.Name, liftEntry{sch: sch, err: err})
+	liftCache.Store(b.Name, &liftEntry{
+		decLo: append([]float64(nil), b.DecLo...),
+		decHi: append([]float64(nil), b.DecHi...),
+		sch:   sch, err: err,
+	})
 	return sch, err
+}
+
+// sameBits reports whether a and b hold the same float64 bit patterns.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // laurent is a Laurent polynomial: c[i] is the coefficient of z^(lo+i).

@@ -46,13 +46,15 @@ func NewPyramid(rows, cols int, bank *filter.Bank, ext filter.Extension, levels 
 
 // DecomposeRanges is the one level driver behind Decompose,
 // DecomposeTol, Decomposer.Decompose and core.ParallelDecomposeTol; run
-// decides where each pass's ranges execute. It fills the preallocated
+// decides where each level's ranges execute. It fills the preallocated
 // pyramid p (NewPyramid) from im, whose shape must already have passed
-// CheckDecomposable. With sch nil each level is one pass of the fused
-// convolution sweep (kernel.AnalyzeLevelRange) over output-row ranges,
-// bit-identical to DecomposeReference for any split; with a lifting
-// scheme each level runs the lifting tier's scatter row pass and then
-// its in-place column pass. Only the pyramid's bands are written: the
+// CheckDecomposable. Each level is one call of run over the level's
+// output rows, so one pool barrier per level on either tier: with sch
+// nil the ranges run the fused convolution sweep
+// (kernel.AnalyzeLevelRange), bit-identical to DecomposeReference for
+// any split; with a lifting scheme they run the fused lifting sweep
+// (kernel.LiftLevelRange), bit-identical to the two-pass lifting
+// kernels for any split. Only the pyramid's bands are written: the
 // intermediate LL chain and the sweep scratch live in a pooled
 // kernel.Arena and in pooled per-range rings.
 func DecomposeRanges(p *Pyramid, im *image.Image, sch *filter.LiftingScheme, run RangeRunner) {
@@ -75,7 +77,6 @@ type levelSweep struct {
 	ext     filter.Extension
 	src, ll *image.Image
 	d       *DetailBands
-	cols    bool // lifting tier: the column pass is running
 }
 
 // decompose runs every level of p through run. Level l writes its LL
@@ -93,41 +94,32 @@ func (s *levelSweep) decompose(p *Pyramid, im *image.Image, run RangeRunner) {
 		if l < levels-1 {
 			s.ll = s.ar.LL(l%2, rows/2, cols/2)
 		}
-		if s.sch == nil {
-			run(rows/2, s.body)
-		} else {
-			s.cols = false
-			run(rows, s.body)
-			s.cols = true
-			run(cols/2, s.body)
-		}
+		run(rows/2, s.body)
 		s.src = s.ll
 	}
 }
 
-// sweep is the range body of the current level and pass: output rows
-// of the fused convolution sweep, or source rows or columns of the
-// lifting tier. A convolution range that covers the whole level is the
-// only range of its pass and uses the arena's ring; split ranges may
+// sweep is the range body of the current level: output rows of the
+// fused convolution sweep, or of the fused lifting sweep when the
+// transform has a scheme. A range that covers the whole level is the
+// only range of its level and uses the arena's ring; split ranges may
 // run concurrently and take their own rings from the pool.
 //
 //wavelint:hotpath
 func (s *levelSweep) sweep(lo, hi int) {
+	ring := s.ar.Ring()
+	whole := lo == 0 && hi == s.src.Rows/2
+	if !whole {
+		ring = kernel.GetRing()
+	}
 	d := s.d
-	switch {
-	case s.sch == nil:
-		if lo == 0 && hi == s.src.Rows/2 {
-			kernel.AnalyzeLevelRange(s.ll, d.LH, d.HL, d.HH, s.src, s.bank, s.ext, lo, hi, s.ar.Ring())
-			return
-		}
-		ring := kernel.GetRing()
+	if s.sch == nil {
 		kernel.AnalyzeLevelRange(s.ll, d.LH, d.HL, d.HH, s.src, s.bank, s.ext, lo, hi, ring)
+	} else {
+		kernel.LiftLevelRange(s.ll, d.LH, d.HL, d.HH, s.src, s.sch, lo, hi, ring)
+	}
+	if !whole {
 		kernel.PutRing(ring)
-	case s.cols:
-		kernel.LiftColsRange(s.ll, d.LH, s.sch, lo, hi)
-		kernel.LiftColsRange(d.HL, d.HH, s.sch, lo, hi)
-	default:
-		kernel.LiftRowsRange(s.ll, d.LH, d.HL, d.HH, s.src, s.sch, lo, hi)
 	}
 }
 

@@ -45,16 +45,18 @@ func (ar *Arena) LL(slot, rows, cols int) *image.Image {
 }
 
 // Ring returns the arena's level-sweep scratch, for an
-// AnalyzeLevelRange or SynthesizeLevelRange call that covers a whole
-// level on one goroutine.
+// AnalyzeLevelRange, LiftLevelRange or SynthesizeLevelRange call that
+// covers a whole level on one goroutine.
 func (ar *Arena) Ring() *Ring { return &ar.ring }
 
 // Ring is the scratch of one fused level sweep: row slots (each slot
 // 2·n samples) and a tap table. AnalyzeLevelRange keeps its filtered
 // L/H rows in the slots and points the taps of its column combine at
-// them; SynthesizeLevelRange keeps the L|H row and the term weights of
-// one output row in a slot and the term source rows in the taps. It
-// grows on demand and is reused across calls.
+// them; LiftLevelRange keeps the row-lifted halves of its ring and extra
+// rows in the slots and its ring rows, twice over, in the taps;
+// SynthesizeLevelRange keeps the L|H row and the term weights of one
+// output row in a slot and the term source rows in the taps. It grows
+// on demand and is reused across calls.
 type Ring struct {
 	buf  []float64
 	taps [][]float64
@@ -84,7 +86,7 @@ func GetRing() *Ring { return ringPool.Get().(*Ring) }
 // PutRing returns a ring to the shared pool.
 func PutRing(r *Ring) { ringPool.Put(r) }
 
-// arenaPool recycles arenas across decompositions; BatchDecompose
+// arenaPool recycles arenas across decompositions; DecomposeBatch
 // workers and repeated Decompose calls reach steady state with zero
 // scratch allocations.
 var arenaPool = sync.Pool{New: func() any { return new(Arena) }}

@@ -50,6 +50,21 @@
 // which cannot change a bit: the accumulator starts at +0 and never
 // becomes -0, and adding ±0 to anything else is exact.
 //
+// The lifting tier (opt-in by tolerance, outside the contract above)
+// runs the same single sweep per level, LiftLevelRange. It streams row
+// pairs in virtual order, pair v being source rows 2p, 2p+1 with
+// p = v mod rows/2, so the periodic wrap of the column steps becomes a
+// straight stream. Each pair is row-lifted once into a ring; the column
+// predict/update steps run as a flat stage schedule over ring rows, each
+// step lagging the steps it reads by its width; each subband row is
+// written once, scaled on the way out. It is bit-identical to the
+// two-pass lifting kernels (LiftRowsRange, then LiftColsRange) for any
+// split of the level: the ring rows are the rows the row pass writes,
+// and every coefficient takes the column form the two-pass kernel gives
+// its level position — dst + (t0·a + t1·b) inside, a +0-started
+// accumulator where the column wraps, which matters for the sign of a
+// zero — followed by the same scale.
+//
 // Inputs are assumed validated (even dimensions, matching shapes); the
 // wavelet package checks before dispatching here.
 package kernel

@@ -6,15 +6,27 @@ import (
 )
 
 // This file is the lifting tier: the factored predict/update schemes of
-// internal/filter executed as fused 2-D sweeps. One row pass per level
-// deinterleaves each source row's polyphase pair directly into the
-// vertically-deinterleaved subband images (no intermediate L/H scratch at
-// all), and one in-place panel-blocked column pass lifts down the rows of
-// each subband pair. Lifting reorders accumulation relative to the
-// convolution kernels, so this tier is *not* under the bit-identity
-// contract of the package comment — it is dispatched only when the caller
-// opts in with a tolerance at least the scheme's advertised Eps, and only
-// under periodic extension, where the factorization is an exact algebraic
+// internal/filter executed as 2-D sweeps. The drivers run each level as
+// one sweep of LiftLevelRange (windowlift.go): it row-lifts each source
+// row once into a ring, runs the column steps over a sliding window of
+// ring rows, and writes each subband row once. The two-pass kernels here
+// are its reference and remain as probes: one row pass deinterleaves
+// each source row's polyphase pair directly into the
+// vertically-deinterleaved subband images (LiftRowsRange), and one
+// in-place panel-blocked column pass lifts down the rows of each subband
+// pair (LiftColsRange). The fused sweep is bit-identical to them because
+// each ring row is the row LiftRowsRange writes (same liftRow, same
+// input), and each column step then applies to every coefficient the
+// form LiftColsRange applies at its level position: dst + (t0·a + t1·b)
+// in the interior, a +0-started accumulator on the wrapped rows (the
+// two differ only in the sign of a zero), then the channel's c·x. Only
+// the order across coefficients changes.
+//
+// Lifting reorders accumulation relative to the convolution kernels, so
+// this tier is *not* under the bit-identity contract of the package
+// comment — it is dispatched only when the caller opts in with a
+// tolerance at least the scheme's advertised Eps, and only under
+// periodic extension, where the factorization is an exact algebraic
 // identity (see internal/filter/lifting.go). The drift-bound property
 // suite in internal/wavelet enforces Eps end to end.
 //
@@ -36,13 +48,16 @@ const maxLiftTaps = 8
 const maxLiftShift = 8
 
 // LiftingScheme resolves the bank's lifting scheme, additionally
-// enforcing the kernel-side step-width bound.
+// enforcing the kernel-side step-width and step-count bounds.
 //
 //wavelint:coldpath factorization resolve, runs once per bank per process
 func LiftingScheme(bank *filter.Bank) (*filter.LiftingScheme, error) {
 	sch, err := filter.Lifting(bank)
 	if err != nil {
 		return nil, err
+	}
+	if len(sch.Steps) > maxLiftSteps {
+		return nil, errTooManySteps
 	}
 	for _, st := range sch.Steps {
 		if len(st.Taps) > maxLiftTaps {
@@ -56,10 +71,13 @@ type liftErr string
 
 func (e liftErr) Error() string { return string(e) }
 
-// errStepTooWide is interface-typed at package init so returning it
+// The errors are interface-typed at package init so returning them
 // never boxes on a hot-adjacent path (the lint escape gate covers this
 // package wall to wall).
-var errStepTooWide error = liftErr("kernel: lifting step exceeds maxLiftTaps")
+var (
+	errStepTooWide  error = liftErr("kernel: lifting step exceeds maxLiftTaps")
+	errTooManySteps error = liftErr("kernel: lifting scheme exceeds maxLiftSteps")
+)
 
 // LiftRowsRange lifts rows [r0, r1) of src and scatters each row's
 // polyphase outputs straight into the subband images of the level: even

@@ -99,7 +99,7 @@ func WithBank(name string) Option {
 // default (and eps = 0) keeps the convolution tier, whose outputs are
 // Float64bits-identical to the reference transform; a positive eps lets
 // the dispatch select the bank's factored lifting scheme — roughly half
-// the arithmetic, fused in-place sweeps — whenever the scheme's
+// the arithmetic, one fused sweep per level — whenever the scheme's
 // advertised drift bound Eps is at most eps and the extension is
 // Periodic. Combinations the lifting tier cannot serve (eps below the
 // bank's Eps, non-periodic extension, a bank with no stable

@@ -129,3 +129,51 @@ func TestWithToleranceFallsBackOffPeriodic(t *testing.T) {
 	}
 	facadeBitIdentical(t, "symmetric-fallback", def, tol)
 }
+
+// TestWithToleranceCustomBanksSharingAName: two custom banks may carry
+// the same name with different coefficients. The lifting tier must run
+// each bank's own factorization, so the second bank's pyramid stays
+// within its own scheme's Eps of the reference transform of its own
+// coefficients.
+func TestWithToleranceCustomBanksSharingAName(t *testing.T) {
+	mine := func(from *FilterBank) *FilterBank {
+		return &FilterBank{Name: "mine", DecLo: from.DecLo, DecHi: from.DecHi, RecLo: from.RecLo, RecHi: from.RecHi}
+	}
+	cdf, err := filter.ByName("cdf5/3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	own, err := filter.Lifting(cdf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, second := mine(Daubechies4()), mine(cdf)
+	im := image.Landsat(64, 64, 3)
+	if _, err := DecomposeWith(im, first, WithLevels(3), WithTolerance(1e-6)); err != nil {
+		t.Fatal(err)
+	}
+	got, err := DecomposeWith(im, second, WithLevels(3), WithTolerance(1e-6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := wavelet.DecomposeReference(im, second, filter.Periodic, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var maxDiff, maxRef float64
+	band := func(a, b *image.Image) {
+		for i, v := range a.Pix {
+			maxDiff = math.Max(maxDiff, math.Abs(v-b.Pix[i]))
+			maxRef = math.Max(maxRef, math.Abs(v))
+		}
+	}
+	band(ref.Approx, got.Approx)
+	for i := range ref.Levels {
+		band(ref.Levels[i].LH, got.Levels[i].LH)
+		band(ref.Levels[i].HL, got.Levels[i].HL)
+		band(ref.Levels[i].HH, got.Levels[i].HH)
+	}
+	if rel := maxDiff / maxRef; rel > own.Eps {
+		t.Fatalf("second bank named %q drifts %.3g from its own reference, want <= Eps %.3g", second.Name, rel, own.Eps)
+	}
+}
