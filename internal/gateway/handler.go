@@ -45,11 +45,11 @@ func (g *Gateway) handleDecompose(w http.ResponseWriter, r *http.Request) {
 			"reading body: %v", err))
 		return
 	}
-	// The shared proto parser extracts routing affinity, the canonical
+	// Serve's own parameter steps extract routing affinity, the canonical
 	// decompose parameters, and the raw image payload from whichever wire
-	// form carried them. Parsing is best-effort: a malformed request just
-	// loses affinity, caching, and tiling, and is forwarded verbatim so
-	// the backend produces the authoritative diagnostic.
+	// form carried them. A request serve would reject loses affinity,
+	// caching, and tiling, and is forwarded verbatim so the backend
+	// produces the authoritative diagnostic.
 	info := proto.ParseRouteInfo(r.URL.Query(), r.Header.Get("Content-Type"), body)
 	key := RouteKey{Bank: info.Bank, Levels: info.Levels}
 	if info.ShapeOK {
@@ -76,8 +76,8 @@ func (g *Gateway) handleDecompose(w http.ResponseWriter, r *http.Request) {
 // enough), which wraps plain single-backend routing.
 func (g *Gateway) serveDecompose(ctx context.Context, info *proto.RouteInfo, req *Request) (*Result, error) {
 	return g.cachedDo(ctx, info, func() (*Result, error) {
-		if g.shouldTile(info) {
-			return g.tiledDecompose(ctx, info)
+		if treq := g.tileRequest(info); treq != nil {
+			return g.tiledDecompose(ctx, treq)
 		}
 		return g.Do(ctx, req)
 	})

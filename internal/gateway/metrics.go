@@ -6,63 +6,63 @@ import (
 	"sort"
 	"sync"
 
-	"wavelethpc/internal/serve"
+	"wavelethpc/internal/metrics"
 )
 
 // BackendMetrics are one backend's per-target counters, updated with
-// atomics on the request path (the serve package's lock-free primitives).
+// atomics on the request path (internal/metrics' lock-free primitives).
 type BackendMetrics struct {
 	// Requests counts attempts routed at the backend (including hedges
 	// and retries).
-	Requests serve.Counter
+	Requests metrics.Counter
 	// Successes counts attempts that returned a usable response.
-	Successes serve.Counter
+	Successes metrics.Counter
 	// Failures counts attempts that failed retryably (transport error or
 	// 5xx).
-	Failures serve.Counter
+	Failures metrics.Counter
 	// Retries counts attempts beyond a request's first that landed on
 	// this backend.
-	Retries serve.Counter
+	Retries metrics.Counter
 	// HedgesLaunched counts hedge attempts fired at this backend.
-	HedgesLaunched serve.Counter
+	HedgesLaunched metrics.Counter
 	// HedgesWon counts hedge attempts that beat the primary.
-	HedgesWon serve.Counter
+	HedgesWon metrics.Counter
 	// BreakerOpened/BreakerHalfOpened/BreakerClosed count transitions
 	// into each breaker state.
-	BreakerOpened     serve.Counter
-	BreakerHalfOpened serve.Counter
-	BreakerClosed     serve.Counter
+	BreakerOpened     metrics.Counter
+	BreakerHalfOpened metrics.Counter
+	BreakerClosed     metrics.Counter
 	// ProbeFailures counts failed active health probes.
-	ProbeFailures serve.Counter
+	ProbeFailures metrics.Counter
 }
 
 // Metrics is the gateway's registry: request-level counters plus a
 // per-backend block keyed by backend name.
 type Metrics struct {
 	// Admitted counts requests accepted for routing.
-	Admitted serve.Counter
+	Admitted metrics.Counter
 	// Completed counts requests answered with a backend response.
-	Completed serve.Counter
+	Completed metrics.Counter
 	// Drained counts requests refused because shutdown had begun.
-	Drained serve.Counter
+	Drained metrics.Counter
 	// NoBackends counts requests failed with *NoBackendsError.
-	NoBackends serve.Counter
+	NoBackends metrics.Counter
 	// BudgetExhausted counts requests cut short by the deadline budget.
-	BudgetExhausted serve.Counter
+	BudgetExhausted metrics.Counter
 	// CacheHits counts decompose requests answered from the
 	// content-addressed result cache (including singleflight followers).
-	CacheHits serve.Counter
+	CacheHits metrics.Counter
 	// CacheMisses counts decompose requests that had to fill the cache.
-	CacheMisses serve.Counter
+	CacheMisses metrics.Counter
 	// CacheEvictions counts entries evicted to hold the byte budget.
-	CacheEvictions serve.Counter
+	CacheEvictions metrics.Counter
 	// TiledRequests counts decompose requests served by the distributed
 	// tiling path.
-	TiledRequests serve.Counter
+	TiledRequests metrics.Counter
 	// TileStripes counts stripe sub-requests fanned out by tiling.
-	TileStripes serve.Counter
+	TileStripes metrics.Counter
 	// Latency observes seconds from admission to final outcome.
-	Latency *serve.Histogram
+	Latency *metrics.Histogram
 
 	mu       sync.Mutex
 	backends map[string]*BackendMetrics
@@ -71,10 +71,7 @@ type Metrics struct {
 
 func newGatewayMetrics(backendNames []string) *Metrics {
 	m := &Metrics{
-		Latency: serve.NewHistogram([]float64{
-			0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01,
-			0.025, 0.05, 0.1, 0.25, 0.5, 1, 2.5, 5, 10,
-		}),
+		Latency:  metrics.NewHistogram(metrics.LatencyBounds),
 		backends: map[string]*BackendMetrics{},
 	}
 	for _, name := range backendNames {
@@ -121,26 +118,19 @@ var backendSeries = []backendCounter{
 // backend="name" label and are emitted in sorted-name order so the
 // output is deterministic.
 func (m *Metrics) WriteProm(w io.Writer) error {
-	counters := []struct {
-		name, help string
-		v          int64
-	}{
-		{"wavegate_admitted_total", "requests accepted for routing", m.Admitted.Value()},
-		{"wavegate_completed_total", "requests answered with a backend response", m.Completed.Value()},
-		{"wavegate_drained_total", "requests refused during drain", m.Drained.Value()},
-		{"wavegate_no_backends_total", "requests failed with NoBackendsError", m.NoBackends.Value()},
-		{"wavegate_budget_exhausted_total", "requests cut short by the deadline budget", m.BudgetExhausted.Value()},
-		{"wavegate_cache_hits_total", "decompose requests answered from the result cache", m.CacheHits.Value()},
-		{"wavegate_cache_misses_total", "decompose requests that filled the result cache", m.CacheMisses.Value()},
-		{"wavegate_cache_evictions_total", "cache entries evicted to hold the byte budget", m.CacheEvictions.Value()},
-		{"wavegate_tiled_total", "decompose requests served by distributed tiling", m.TiledRequests.Value()},
-		{"wavegate_tile_stripes_total", "stripe sub-requests fanned out by tiling", m.TileStripes.Value()},
-	}
-	for _, c := range counters {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n",
-			c.name, c.help, c.name, c.name, c.v); err != nil {
-			return err
-		}
+	if err := metrics.WritePromCounters(w, []metrics.PromCounter{
+		{Name: "wavegate_admitted_total", Help: "requests accepted for routing", Value: m.Admitted.Value()},
+		{Name: "wavegate_completed_total", Help: "requests answered with a backend response", Value: m.Completed.Value()},
+		{Name: "wavegate_drained_total", Help: "requests refused during drain", Value: m.Drained.Value()},
+		{Name: "wavegate_no_backends_total", Help: "requests failed with NoBackendsError", Value: m.NoBackends.Value()},
+		{Name: "wavegate_budget_exhausted_total", Help: "requests cut short by the deadline budget", Value: m.BudgetExhausted.Value()},
+		{Name: "wavegate_cache_hits_total", Help: "decompose requests answered from the result cache", Value: m.CacheHits.Value()},
+		{Name: "wavegate_cache_misses_total", Help: "decompose requests that filled the result cache", Value: m.CacheMisses.Value()},
+		{Name: "wavegate_cache_evictions_total", Help: "cache entries evicted to hold the byte budget", Value: m.CacheEvictions.Value()},
+		{Name: "wavegate_tiled_total", Help: "decompose requests served by distributed tiling", Value: m.TiledRequests.Value()},
+		{Name: "wavegate_tile_stripes_total", Help: "stripe sub-requests fanned out by tiling", Value: m.TileStripes.Value()},
+	}); err != nil {
+		return err
 	}
 	m.mu.Lock()
 	order := append([]string(nil), m.order...)
@@ -159,6 +149,6 @@ func (m *Metrics) WriteProm(w io.Writer) error {
 			}
 		}
 	}
-	return serve.WritePromHistogram(w, "wavegate_latency_seconds",
+	return metrics.WritePromHistogram(w, "wavegate_latency_seconds",
 		"admission-to-outcome latency", m.Latency.Snapshot())
 }

@@ -36,26 +36,25 @@ import (
 // the same-shape stripes across the fleet instead of letting rendezvous
 // affinity pile them onto one backend.
 
-// shouldTile reports whether the request takes the distributed tiling
-// path: tiling configured, image tall enough, and every parameter the
-// coordinator must understand — bank, levels, shape, tol=0 — cleanly
-// parsed and decomposable.
-func (g *Gateway) shouldTile(info *proto.RouteInfo) bool {
-	if g.cfg.TileRows <= 0 || !info.OK || !info.ShapeOK {
-		return false
+// tileRequest returns the decoded request when it takes the
+// distributed tiling path: tiling configured, image tall enough, bank
+// and levels explicit, tol=0 (the coordinator drives the decomposition
+// itself, so it cannot defer to backend defaults or the lifting tier),
+// a decomposable shape, and a payload that decodes to the shape its
+// header declares. Otherwise it returns nil and the request is
+// forwarded to one backend, so a payload that does not decode gets the
+// backend's 400, the answer serve gives.
+func (g *Gateway) tileRequest(info *proto.RouteInfo) *proto.DecomposeRequest {
+	if g.cfg.TileRows <= 0 || !info.OK || !info.ShapeOK || info.Rows < g.cfg.TileRows ||
+		info.Bank == "" || info.Levels < 1 || info.Tol != 0 ||
+		wavelet.CheckDecomposable(info.Rows, info.Cols, info.Levels) != nil {
+		return nil
 	}
-	if info.Rows < g.cfg.TileRows {
-		return false
+	req, perr := info.Decode()
+	if perr != nil || req.Image.Rows != info.Rows || req.Image.Cols != info.Cols {
+		return nil
 	}
-	// The coordinator drives the decomposition itself, so it cannot
-	// defer to backend defaults or the lifting tier.
-	if info.Bank == "" || info.Levels < 1 || info.Tol != 0 {
-		return false
-	}
-	if _, err := filter.ByName(info.Bank); err != nil {
-		return false
-	}
-	return wavelet.CheckDecomposable(info.Rows, info.Cols, info.Levels) == nil
+	return req
 }
 
 // tiledDecompose coordinates the stripe fan-out level by level and
@@ -63,44 +62,32 @@ func (g *Gateway) shouldTile(info *proto.RouteInfo) bool {
 // whose backend answers non-200 short-circuits: that response is
 // forwarded as the overall result so the client sees the authoritative
 // backend diagnostic.
-func (g *Gateway) tiledDecompose(ctx context.Context, info *proto.RouteInfo) (*Result, error) {
-	bank, err := filter.ByName(info.Bank)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: tiling: %w", err)
-	}
-	cur, err := decodeTileInput(info.ImageData)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: tiling: %w", err)
-	}
-	if cur.Rows != info.Rows || cur.Cols != info.Cols {
-		return nil, fmt.Errorf("gateway: tiling: sniffed %dx%d but decoded %dx%d",
-			info.Rows, info.Cols, cur.Rows, cur.Cols)
-	}
-
+func (g *Gateway) tiledDecompose(ctx context.Context, req *proto.DecomposeRequest) (*Result, error) {
 	stripes := g.cfg.TileStripes
 	if stripes <= 0 {
 		stripes = len(g.backends)
 	}
-	p := &wavelet.Pyramid{Bank: bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, info.Levels)}
+	cur := req.Image
+	p := &wavelet.Pyramid{Bank: req.Bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, req.Levels)}
 	attempts := 0
-	for l := 0; l < info.Levels; l++ {
-		level, n, err2 := g.tileOneLevel(ctx, info.Bank, bank, cur, stripes)
-		if err2 != nil {
-			return nil, err2
+	for l := 0; l < req.Levels; l++ {
+		level, n, err := g.tileOneLevel(ctx, req.BankName, req.Bank, cur, stripes)
+		if err != nil {
+			return nil, err
 		}
 		if level.errResult != nil {
 			return level.errResult, nil
 		}
 		attempts += n
-		p.Levels[info.Levels-1-l] = wavelet.DetailBands{LH: level.lh, HL: level.hl, HH: level.hh}
+		p.Levels[req.Levels-1-l] = wavelet.DetailBands{LH: level.lh, HL: level.hl, HH: level.hh}
 		cur = level.ll
 	}
 	p.Approx = cur
 
 	g.metrics.TiledRequests.Add(1)
-	buf := bytes.NewBuffer(make([]byte, 0, proto.DecomposeResponseSize(p, info.Output)))
+	buf := bytes.NewBuffer(make([]byte, 0, proto.DecomposeResponseSize(p, req.Output)))
 	mw := &memResponseWriter{header: http.Header{}, body: buf}
-	if err := proto.WriteDecomposeResponse(mw, p, info.Output); err != nil {
+	if err := proto.WriteDecomposeResponse(mw, p, req.Output); err != nil {
 		return nil, fmt.Errorf("gateway: tiling: encoding response: %w", err)
 	}
 	return &Result{
@@ -253,15 +240,6 @@ func placeRows(dst, src *image.Image, r0, n int) {
 	for m := 0; m < n; m++ {
 		copy(dst.Row(r0+m), src.Row(m))
 	}
-}
-
-// decodeTileInput decodes the raw image payload of a tiling request in
-// either wire form.
-func decodeTileInput(data []byte) (*image.Image, error) {
-	if _, _, ok := proto.SniffRasterShape(data); ok {
-		return proto.DecodeRaster(bytes.NewReader(data))
-	}
-	return image.ReadPGM(bytes.NewReader(data))
 }
 
 // memResponseWriter adapts proto's renderer onto an in-memory Result.

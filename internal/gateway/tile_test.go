@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"context"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -186,22 +187,52 @@ func TestTilingFallsBackToForwarding(t *testing.T) {
 	urls := newServeFleet(t, 2)
 	im := image.Landsat(16, 16, 2)
 	pgm := encodePGM(t, im)
-	g := newTestGateway(t, Config{Backends: urls, Seed: 3, TileRows: 8})
+	g := newTestGateway(t, Config{Backends: urls, Seed: 3, TileRows: 8, CacheBytes: 1 << 20})
 
 	cases := []struct {
 		name  string
 		query string
+		body  []byte // nil sends pgm
 	}{
-		{"no explicit bank", "?levels=2&output=pyramid"},
-		{"no explicit levels", "?bank=db4&output=pyramid"},
-		{"lifting tier requested", "?bank=db4&levels=2&tol=0.01&output=pyramid"},
-		{"not decomposable", "?bank=db4&levels=5&output=pyramid"}, // 16x16 not 2^5-divisible
+		{"no explicit bank", "?levels=2&output=pyramid", nil},
+		{"no explicit levels", "?bank=db4&output=pyramid", nil},
+		{"lifting tier requested", "?bank=db4&levels=2&tol=0.01&output=pyramid", nil},
+		{"not decomposable", "?bank=db4&levels=5&output=pyramid", nil}, // 16x16 not 2^5-divisible
+		{"bad output", "?bank=db4&levels=2&output=bogus", nil},
+		{"truncated pgm", "?bank=db4&levels=2&output=pyramid", pgm[:len(pgm)-7]},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			rec := postDecompose(t, g, tc.query, "", pgm)
+			body := tc.body
+			if body == nil {
+				body = pgm
+			}
+			before, _ := g.CacheStats()
+			rec := postDecompose(t, g, tc.query, "", body)
 			if b := rec.Header().Get("X-Wavegate-Backend"); b == "tiled" {
 				t.Fatalf("request was tiled; want plain forwarding")
+			}
+			// The gateway answers as serve does, and caches no refusal.
+			direct, err := http.Post(urls[0]+"/v1/decompose"+tc.query, "", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			directBody, err := io.ReadAll(direct.Body)
+			direct.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if rec.Code != direct.StatusCode {
+				t.Fatalf("status %d, serve answers %d: %s", rec.Code, direct.StatusCode, rec.Body.String())
+			}
+			if rec.Code != http.StatusOK {
+				got, want := proto.DecodeError(rec.Code, rec.Body.Bytes()), proto.DecodeError(direct.StatusCode, directBody)
+				if got.Code != want.Code {
+					t.Fatalf("code %q, serve answers %q", got.Code, want.Code)
+				}
+				if after, _ := g.CacheStats(); after != before {
+					t.Fatalf("a %d answer was cached (%d -> %d entries)", rec.Code, before, after)
+				}
 			}
 		})
 	}

@@ -19,6 +19,13 @@
 //     (EncodeRaster), used by the gateway's distributed tiling path
 //     where 8-bit PGM would truncate intermediate coefficients.
 //
+// One parser reads all three: a query-parameter step and a JSON
+// wire-document step, neither of which decodes pixels, and one image
+// decoder. ParseDecompose (serve) streams the body through them;
+// ParseRouteInfo (the gateway) runs the same steps on a buffered body,
+// so the gateway routes, caches and tiles exactly the requests serve
+// accepts.
+//
 // Responses come back as a PGM (output=mosaic or roundtrip) or as the
 // exact binary pyramid codec (output=pyramid, EncodePyramid) whose
 // float64 bit patterns round-trip untouched. Errors are a versioned
@@ -235,33 +242,64 @@ func MediaType(ct string) string {
 
 // ParseDecompose parses a /v1/decompose HTTP request in any of the
 // three wire forms, bounding the body read at maxBody bytes. It is the
-// single request-parsing path shared by the serve layer and the
-// gateway's tiling coordinator; every validation failure is a typed
-// *Error envelope ready for WriteError.
+// serve layer's parser; the gateway's ParseRouteInfo runs the same
+// parameter steps (decomposeFromQuery, decomposeFromJSON) and the same
+// image decoder, so both accept and reject the same parameters. Every
+// validation failure is a typed *Error envelope ready for WriteError.
 func ParseDecompose(w http.ResponseWriter, r *http.Request, maxBody int64) (*DecomposeRequest, *Error) {
 	if r.Method != http.MethodPost {
 		return nil, NewError(http.StatusMethodNotAllowed, CodeMethodNotAllowed,
 			"POST a binary PGM body (or the v1 JSON form)")
 	}
 	body := http.MaxBytesReader(w, r.Body, maxBody)
-	switch MediaType(r.Header.Get("Content-Type")) {
-	case ContentTypeJSON:
-		return parseDecomposeJSON(body, r.URL.Query())
-	case ContentTypeRaster:
-		im, err := DecodeRaster(boundedBody(body, r.ContentLength, maxBody))
+	q := r.URL.Query()
+	form := MediaType(r.Header.Get("Content-Type"))
+	if form == ContentTypeJSON {
+		data, err := io.ReadAll(body)
 		if err != nil {
-			return nil, badRequest("%v", err)
+			return nil, badRequest("reading body: %v", err)
 		}
-		return decomposeFromQuery(r.URL.Query(), im)
-	default:
-		// Legacy form: the body is the PGM, whatever the Content-Type
-		// (curl's --data-binary default included).
-		im, err := image.ReadPGM(body)
-		if err != nil {
-			return nil, badRequest("%v", err)
+		req, pgm, perr := decomposeFromJSON(q, data)
+		if perr != nil {
+			return nil, perr
 		}
-		return decomposeFromQuery(r.URL.Query(), im)
+		if req.Image, perr = decodeImage(ContentTypePGM, bytes.NewReader(pgm)); perr != nil {
+			return nil, perr
+		}
+		return req, nil
 	}
+	// The streamed forms decode the image before the query is checked,
+	// so a refused request has still read its body. In the legacy form
+	// the body is the PGM, whatever the Content-Type (curl's
+	// --data-binary default included).
+	var src io.Reader = body
+	if form == ContentTypeRaster {
+		src = boundedBody(body, r.ContentLength, maxBody)
+	}
+	im, perr := decodeImage(form, src)
+	if perr != nil {
+		return nil, perr
+	}
+	req, perr := decomposeFromQuery(q)
+	if perr != nil {
+		return nil, perr
+	}
+	req.Image = im
+	return req, nil
+}
+
+// decodeImage is the one image decoder of both parsers: the raster
+// codec for ContentTypeRaster, the binary PGM reader for any other form.
+func decodeImage(form string, r io.Reader) (*image.Image, *Error) {
+	decode := image.ReadPGM
+	if form == ContentTypeRaster {
+		decode = DecodeRaster
+	}
+	im, err := decode(r)
+	if err != nil {
+		return nil, badRequest("%v", err)
+	}
+	return im, nil
 }
 
 // lenReader is an io.LimitedReader that reports its remaining bytes
@@ -281,10 +319,10 @@ func boundedBody(body io.Reader, contentLength, maxBody int64) io.Reader {
 	return &lenReader{io.LimitedReader{R: body, N: n}}
 }
 
-// decomposeFromQuery folds the legacy query parameters around a decoded
+// decomposeFromQuery parses the legacy query parameters. It decodes no
 // image.
-func decomposeFromQuery(q url.Values, im *image.Image) (*DecomposeRequest, *Error) {
-	req := &DecomposeRequest{Image: im}
+func decomposeFromQuery(q url.Values) (*DecomposeRequest, *Error) {
+	req := &DecomposeRequest{}
 	name := q.Get("filter")
 	if b := q.Get("bank"); b != "" {
 		if name != "" && b != name {
@@ -315,42 +353,36 @@ func decomposeFromQuery(q url.Values, im *image.Image) (*DecomposeRequest, *Erro
 	return req, nil
 }
 
-// parseDecomposeJSON parses the v1 JSON body form.
-func parseDecomposeJSON(body io.Reader, q url.Values) (*DecomposeRequest, *Error) {
+// decomposeFromJSON parses the v1 JSON wire document: query conflict,
+// version, bank, levels, tol and output. It returns the image_pgm bytes
+// undecoded.
+func decomposeFromJSON(q url.Values, data []byte) (*DecomposeRequest, []byte, *Error) {
 	for _, p := range decomposeParams {
 		if q.Get(p) != "" {
-			return nil, badRequest("query parameter %q conflicts with the JSON body form", p)
+			return nil, nil, badRequest("query parameter %q conflicts with the JSON body form", p)
 		}
-	}
-	data, err := io.ReadAll(body)
-	if err != nil {
-		return nil, badRequest("reading body: %v", err)
 	}
 	var wire decomposeWire
 	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, badRequest("bad JSON request body: %v", err)
+		return nil, nil, badRequest("bad JSON request body: %v", err)
 	}
 	if wire.V != Version {
-		return nil, badRequest("unsupported protocol version %d (this server speaks v%d)", wire.V, Version)
+		return nil, nil, badRequest("unsupported protocol version %d (this server speaks v%d)", wire.V, Version)
 	}
 	if len(wire.ImagePGM) == 0 {
-		return nil, badRequest("missing image_pgm")
-	}
-	im, err := image.ReadPGM(bytes.NewReader(wire.ImagePGM))
-	if err != nil {
-		return nil, badRequest("%v", err)
+		return nil, nil, badRequest("missing image_pgm")
 	}
 	if wire.Levels < 0 {
-		return nil, badRequest("bad levels %d", wire.Levels)
+		return nil, nil, badRequest("bad levels %d", wire.Levels)
 	}
-	req := &DecomposeRequest{Image: im, Levels: wire.Levels, Tol: wire.Tol}
+	req := &DecomposeRequest{Levels: wire.Levels, Tol: wire.Tol}
 	if perr := req.setBank(wire.Bank); perr != nil {
-		return nil, perr
+		return nil, nil, perr
 	}
 	if perr := req.setOutput(wire.Output); perr != nil {
-		return nil, perr
+		return nil, nil, perr
 	}
-	return req, nil
+	return req, wire.ImagePGM, nil
 }
 
 // setBank resolves a bank name ("" = server default) against the
@@ -385,10 +417,10 @@ func (r *DecomposeRequest) setOutput(output string) *Error {
 
 // RouteInfo is the gateway's view of a decompose request: everything
 // shape-aware routing, the content-addressed cache, and the tiling
-// coordinator need, extracted without decoding pixels where possible.
-// Parsing is best-effort by design — a malformed request loses routing
-// affinity and caching (OK/ShapeOK false) and is forwarded verbatim, so
-// the backend produces the authoritative diagnostic.
+// coordinator need, extracted without decoding pixels. A request whose
+// parameters serve would reject has OK false: it loses routing affinity
+// and caching and is forwarded verbatim, so the backend produces the
+// authoritative diagnostic.
 type RouteInfo struct {
 	// Bank, Levels, Tol, Output are the canonical decompose parameters.
 	Bank   string
@@ -403,82 +435,62 @@ type RouteInfo struct {
 	// ImageData regardless of which wire form carried them (the JSON
 	// form's base64 layer is stripped).
 	ImageData []byte
-	// OK reports that every parameter parsed cleanly; the cache and the
-	// tiling path engage only then.
+	// OK reports that serve would accept these parameters; the cache
+	// and the tiling path engage only then. The image is not decoded,
+	// so a malformed payload can still be OK.
 	OK bool
+
+	// req holds the parsed parameters (nil unless OK), form the wire
+	// form of ImageData: what Decode needs.
+	req  *DecomposeRequest
+	form string
 }
 
 // ParseRouteInfo extracts RouteInfo from a buffered request body plus
-// its query and Content-Type. It never fails: unparseable requests
-// return OK=false.
+// its query and Content-Type, through the parameter steps ParseDecompose
+// runs. It never fails: requests serve would reject return OK=false.
 func ParseRouteInfo(q url.Values, contentType string, body []byte) RouteInfo {
-	var info RouteInfo
+	var (
+		req  *DecomposeRequest
+		perr *Error
+		info = RouteInfo{ImageData: body, form: ContentTypePGM}
+	)
 	switch MediaType(contentType) {
 	case ContentTypeJSON:
-		var wire decomposeWire
-		if err := json.Unmarshal(body, &wire); err != nil || wire.V != Version {
-			return info
-		}
-		for _, p := range decomposeParams {
-			if q.Get(p) != "" {
-				return info
-			}
-		}
-		info.Bank = wire.Bank
-		info.Levels = wire.Levels
-		info.Tol = wire.Tol
-		info.Output = wire.Output
-		info.ImageData = wire.ImagePGM
-		info.Rows, info.Cols, info.ShapeOK = SniffPGMShape(wire.ImagePGM)
-		info.OK = wire.Levels >= 0
+		req, info.ImageData, perr = decomposeFromJSON(q, body)
 	case ContentTypeRaster:
-		if !routeParamsFromQuery(&info, q) {
-			return info
-		}
-		info.ImageData = body
-		info.Rows, info.Cols, info.ShapeOK = SniffRasterShape(body)
-		info.OK = true
+		info.form = ContentTypeRaster
+		req, perr = decomposeFromQuery(q)
 	default:
-		if !routeParamsFromQuery(&info, q) {
-			return info
-		}
-		info.ImageData = body
-		info.Rows, info.Cols, info.ShapeOK = SniffPGMShape(body)
-		info.OK = true
+		req, perr = decomposeFromQuery(q)
 	}
-	if info.Output == "" {
-		info.Output = OutputMosaic
+	if perr != nil {
+		return RouteInfo{}
 	}
+	sniff := SniffPGMShape
+	if info.form == ContentTypeRaster {
+		sniff = SniffRasterShape
+	}
+	info.Rows, info.Cols, info.ShapeOK = sniff(info.ImageData)
+	info.Bank, info.Levels, info.Tol, info.Output = req.BankName, req.Levels, req.Tol, req.Output
+	info.req, info.OK = req, true
 	return info
 }
 
-// routeParamsFromQuery fills the canonical parameters from the legacy
-// query form, reporting false on any syntax error.
-func routeParamsFromQuery(info *RouteInfo, q url.Values) bool {
-	name := q.Get("filter")
-	if b := q.Get("bank"); b != "" {
-		if name != "" && b != name {
-			return false
-		}
-		name = b
+// Decode decodes ImageData with the decoder ParseDecompose uses for the
+// same wire form, returning the request serve would parse from these
+// bytes, or the *Error it would answer with.
+func (info *RouteInfo) Decode() (*DecomposeRequest, *Error) {
+	if !info.OK {
+		return nil, badRequest("request parameters did not parse")
 	}
-	info.Bank = name
-	if lv := q.Get("levels"); lv != "" {
-		n, err := strconv.Atoi(lv)
-		if err != nil || n < 1 {
-			return false
-		}
-		info.Levels = n
+	im, perr := decodeImage(info.form, bytes.NewReader(info.ImageData))
+	if perr != nil {
+		return nil, perr
 	}
-	if tv := q.Get("tol"); tv != "" {
-		eps, err := strconv.ParseFloat(tv, 64)
-		if err != nil {
-			return false
-		}
-		info.Tol = eps
-	}
-	info.Output = q.Get("output")
-	return true
+	req := *info.req
+	req.Image = im
+	return &req, nil
 }
 
 // SniffPGMShape reads just enough of a binary PGM (P5) header to learn

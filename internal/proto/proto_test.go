@@ -525,6 +525,9 @@ func TestParseRouteInfo(t *testing.T) {
 		ParseRouteInfo(q("filter=a&bank=b"), "", tinyPGM),
 		ParseRouteInfo(q(""), "application/json", []byte("nope")),
 		ParseRouteInfo(q("levels=2"), "application/json", []byte(`{"v":1,"image_pgm":"UDUKMiAyCjI1NQoAAQID"}`)),
+		ParseRouteInfo(q("bank=nope&levels=1"), "", tinyPGM),
+		ParseRouteInfo(q("bank=haar&levels=1&output=bogus"), "", tinyPGM),
+		ParseRouteInfo(q(""), "application/json", []byte(`{"v":1,"bank":"haar","levels":1}`)),
 	}
 	for i, info := range malformed {
 		if info.OK {
@@ -535,6 +538,54 @@ func TestParseRouteInfo(t *testing.T) {
 		info := ParseRouteInfo(q(""), "", tinyPGM)
 		if info.Output != OutputMosaic {
 			t.Fatalf("output = %q", info.Output)
+		}
+	})
+}
+
+// FuzzParseDecompose checks the two entry points against each other:
+// neither panics, and serve's ParseDecompose accepts a request exactly
+// when the gateway's ParseRouteInfo reports OK and its Decode succeeds,
+// and then with the same bank, levels, tol and output, and an image
+// decoded to the same bits.
+func FuzzParseDecompose(f *testing.F) {
+	var raster bytes.Buffer
+	if err := EncodeRaster(&raster, image.Landsat(8, 8, 7)); err != nil {
+		f.Fatal(err)
+	}
+	jsonBody, err := EncodeDecomposeJSON("db4", 2, 0.001, OutputRoundtrip, tinyPGM)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add("filter=db4&levels=2&tol=0.001&output=roundtrip", "", tinyPGM)
+	f.Add("bank=haar&output=bogus", ContentTypePGM, tinyPGM)
+	f.Add("", ContentTypeJSON, jsonBody)
+	f.Add("levels=1", "application/json; charset=utf-8", []byte(`{"v":1,"bank":"nope","image_pgm":"UDUKMiAyCjI1NQoAAQID"}`))
+	f.Add("bank=haar&levels=1&output=pyramid", ContentTypeRaster, raster.Bytes())
+	f.Add("bank=haar&levels=1", ContentTypeRaster, raster.Bytes()[:20])
+
+	const maxBody = 1 << 20
+	f.Fuzz(func(t *testing.T, rawQuery, contentType string, body []byte) {
+		if len(body) > maxBody {
+			return
+		}
+		r := httptest.NewRequest(http.MethodPost, "/v1/decompose", bytes.NewReader(body))
+		r.URL.RawQuery = rawQuery
+		r.Header.Set("Content-Type", contentType)
+		req, perr := ParseDecompose(httptest.NewRecorder(), r, maxBody)
+		info := ParseRouteInfo(r.URL.Query(), contentType, body)
+		dec, derr := info.Decode()
+		if (perr == nil) != (derr == nil) {
+			t.Fatalf("ParseDecompose error %v, but ParseRouteInfo OK=%v and Decode error %v", perr, info.OK, derr)
+		}
+		if perr != nil {
+			return
+		}
+		if info.Bank != req.BankName || info.Levels != req.Levels ||
+			math.Float64bits(info.Tol) != math.Float64bits(req.Tol) || info.Output != req.Output {
+			t.Fatalf("route info %+v disagrees with parsed request %+v", info, req)
+		}
+		if !image.EqualBits(dec.Image, req.Image) {
+			t.Fatal("the two parsers decoded different images")
 		}
 	})
 }
@@ -551,6 +602,9 @@ func TestSniffPGMShape(t *testing.T) {
 		{"P5\n0 4\n255\n", 0, 0, false},
 		{"P5\nx y\n", 0, 0, false},
 		{"", 0, 0, false},
+		{"P5 640 480 255\n", 480, 640, true},
+		{"P6 640 480 255\n", 0, 0, false},
+		{"P5", 0, 0, false},
 	}
 	for _, tc := range cases {
 		rows, cols, ok := SniffPGMShape([]byte(tc.body))

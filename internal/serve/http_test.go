@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"wavelethpc/internal/image"
+	"wavelethpc/internal/proto"
 )
 
 func newHTTPServer(t *testing.T, cfg Config) (*Server, http.Handler) {
@@ -85,6 +86,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		{"bad output", "/v1/decompose?output=gif", good, http.StatusBadRequest},
 		{"garbage body", "/v1/decompose", []byte("not a pgm"), http.StatusBadRequest},
 		{"undecomposable", "/v1/decompose?levels=9", good, http.StatusBadRequest},
+		// 1<<64 is 0 in a 64-bit int: the divisibility check must not
+		// divide by it.
+		{"levels at the word size", "/v1/decompose?levels=64", good, http.StatusBadRequest},
 	}
 	for _, c := range cases {
 		req := httptest.NewRequest(http.MethodPost, c.target, bytes.NewReader(c.body))
@@ -92,6 +96,9 @@ func TestHTTPBadRequests(t *testing.T) {
 		h.ServeHTTP(rec, req)
 		if rec.Code != c.wantStatus {
 			t.Errorf("%s: status = %d, want %d (body %q)", c.name, rec.Code, c.wantStatus, rec.Body.String())
+		}
+		if code := proto.DecodeError(rec.Code, rec.Body.Bytes()).Code; code != proto.CodeBadRequest {
+			t.Errorf("%s: code = %q, want %q", c.name, code, proto.CodeBadRequest)
 		}
 	}
 

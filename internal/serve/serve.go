@@ -2,7 +2,7 @@
 // point where the fast steady-state kernels of internal/wavelet meet
 // production traffic. It owns a bounded admission queue with
 // deterministic overload rejection (*OverloadError, never a blocking
-// wait), per-(rows, cols, bank, levels) pools of reused
+// wait), per-(rows, cols, bank, levels, tier) pools of reused
 // wavelet.Decomposers that every request executes through, per-request
 // deadlines via context.Context, graceful drain on shutdown, and a
 // zero-dependency atomic metrics registry exposed through Snapshot and
@@ -99,14 +99,16 @@ func (r *Result) Detach() *wavelet.Pyramid {
 }
 
 // poolKey identifies a Decomposer pool: one pool per request shape ×
-// bank × depth × tolerance, so arenas and output pyramids are always
+// bank × depth × tier, so arenas and output pyramids are always
 // right-sized for the traffic class they serve and lifting-tier
-// Decomposers never leak into bit-identical traffic.
+// Decomposers never leak into bit-identical traffic. The tier, not the
+// tolerance, is the key: every tolerance that resolves to the same tier
+// builds the same Decomposer, so they share one pool.
 type poolKey struct {
 	rows, cols int
 	bank       string
 	levels     int
-	tol        float64
+	lifting    bool
 }
 
 // job is a queued request plus its delivery plumbing.
@@ -114,6 +116,7 @@ type job struct {
 	im     *image.Image
 	bank   *filter.Bank
 	levels int
+	tol    float64
 	key    poolKey
 	ctx    context.Context
 	start  time.Time
@@ -250,8 +253,9 @@ func (s *Server) Do(ctx context.Context, req Request) (*Result, error) {
 		im:     req.Image,
 		bank:   bank,
 		levels: levels,
-		key: poolKey{rows: req.Image.Rows, cols: req.Image.Cols, bank: bank.Name,
-			levels: levels, tol: req.Tolerance},
+		tol:    req.Tolerance,
+		key: poolKey{rows: req.Image.Rows, cols: req.Image.Cols, bank: bank.Name, levels: levels,
+			lifting: wavelet.LiftingFor(bank, s.cfg.Extension, req.Tolerance) != nil},
 		ctx:   ctx,
 		start: s.now(),
 		done:  make(chan jobResponse, 1),
@@ -337,7 +341,7 @@ func (s *Server) expire(j *job) {
 
 // executeOne runs a single request through its shape's Decomposer pool.
 func (s *Server) executeOne(j *job) {
-	dec := s.getDecomposer(j.key, j.bank)
+	dec := s.getDecomposer(j)
 	p, err := s.decompose(func() (*wavelet.Pyramid, error) { return dec.Decompose(j.im) })
 	if err != nil {
 		s.putDecomposer(j.key, dec)
@@ -388,20 +392,21 @@ func (s *Server) deliver(j *job, res *Result, err error) bool {
 	return true
 }
 
-// getDecomposer checks a Decomposer out of the key's pool, creating the
-// pool (and, via sync.Pool, the Decomposer) on first use. Checked-out
-// Decomposers are exclusively owned until putDecomposer.
-func (s *Server) getDecomposer(key poolKey, bank *filter.Bank) *wavelet.Decomposer {
+// getDecomposer checks a Decomposer out of the job's pool, creating the
+// pool (and, via sync.Pool, the Decomposer) on first use. The pool
+// builds every Decomposer at the tolerance of the job that created it,
+// which resolves to the pool's tier. Checked-out Decomposers are
+// exclusively owned until putDecomposer.
+func (s *Server) getDecomposer(j *job) *wavelet.Decomposer {
 	s.poolMu.Lock()
-	p, ok := s.pools[key]
+	p, ok := s.pools[j.key]
 	if !ok {
-		ext, levels, tol := s.cfg.Extension, key.levels, key.tol
-		b := bank
+		bank, ext, levels, tol := j.bank, s.cfg.Extension, j.levels, j.tol
 		p = &sync.Pool{New: func() any {
 			s.created.Add(1)
-			return wavelet.NewDecomposerTol(b, ext, levels, tol)
+			return wavelet.NewDecomposerTol(bank, ext, levels, tol)
 		}}
-		s.pools[key] = p
+		s.pools[j.key] = p
 	}
 	s.poolMu.Unlock()
 	return p.Get().(*wavelet.Decomposer)

@@ -10,6 +10,7 @@ import (
 
 	"wavelethpc/internal/filter"
 	"wavelethpc/internal/image"
+	"wavelethpc/internal/metrics"
 	"wavelethpc/internal/wavelet"
 )
 
@@ -43,7 +44,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, chan struct{}, chan struc
 }
 
 // waitCounter polls an atomic counter until it reaches want.
-func waitCounter(t *testing.T, c *Counter, want int64) {
+func waitCounter(t *testing.T, c *metrics.Counter, want int64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Value() < want {

@@ -17,7 +17,7 @@ import (
 
 // Tolerance plumbing through the service layer: Request.Tolerance and
 // the tol= query parameter select the lifting tier per request, pooled
-// Decomposers are keyed by tolerance so tiers never mix, and
+// Decomposers are keyed by the resolved tier so tiers never mix, and
 // out-of-range values are rejected with the typed *wavelet.UsageError
 // the HTTP layer maps to 400.
 
@@ -131,6 +131,48 @@ func TestTolerancePoolsSeparate(t *testing.T) {
 	// a second Decomposer there; elsewhere each class builds exactly one.
 	if got := s.CreatedDecomposers(); !raceEnabled && got != 2 {
 		t.Errorf("CreatedDecomposers = %d, want 2 (one per tolerance class)", got)
+	}
+}
+
+// TestTolerancePoolsKeyOnTier: pools are keyed by the tier a tolerance
+// resolves to, not by its value. Tolerances that all cover Eps share one
+// lifting pool, and a tolerance below Eps, which runs the convolution
+// tier, shares the tol-0 pool, so distinct tol values cannot grow the
+// pool map without bound.
+func TestTolerancePoolsKeyOnTier(t *testing.T) {
+	s, err := New(Config{Workers: 1, Levels: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown(context.Background())
+	eps := liftEps(t)
+	im := image.Landsat(32, 32, 4)
+	want := map[bool]*wavelet.Pyramid{}
+	for _, lifting := range []bool{false, true} {
+		tol := 0.0
+		if lifting {
+			tol = eps
+		}
+		if want[lifting], err = wavelet.DecomposeTol(im, filter.Daubechies8(), filter.Periodic, 2, tol); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, tol := range []float64{eps, 2 * eps, 0.5, 1, 1e300, 0, eps / 2} {
+		res, err := s.Do(context.Background(), Request{Image: im, Tolerance: tol})
+		if err != nil {
+			t.Fatal(err)
+		}
+		requirePyramidBits(t, fmt.Sprintf("request %d (tol %g)", i, tol), want[tol >= eps], res.Pyramid)
+		res.Close()
+	}
+	s.poolMu.Lock()
+	pools := len(s.pools)
+	s.poolMu.Unlock()
+	if pools != 2 {
+		t.Errorf("%d Decomposer pools for 7 tolerances, want 2 (one lifting, one convolution)", pools)
+	}
+	if got := s.CreatedDecomposers(); !raceEnabled && got != 2 {
+		t.Errorf("CreatedDecomposers = %d, want 2 (one per tier)", got)
 	}
 }
 

@@ -2,6 +2,7 @@ package wavelet
 
 import (
 	"fmt"
+	"math/bits"
 
 	"wavelethpc/internal/filter"
 	"wavelethpc/internal/image"
@@ -36,8 +37,8 @@ func CheckDecomposable(rows, cols, levels int) error {
 	if levels < 1 {
 		return fmt.Errorf("wavelet: levels = %d, want >= 1", levels)
 	}
-	m := 1 << uint(levels)
-	if rows%m != 0 || cols%m != 0 {
+	// 1<<levels overflows at the word size, and no image is that tall.
+	if levels >= bits.UintSize-1 || rows%(1<<levels) != 0 || cols%(1<<levels) != 0 {
 		return fmt.Errorf("wavelet: %dx%d image not divisible by 2^%d", rows, cols, levels)
 	}
 	return nil

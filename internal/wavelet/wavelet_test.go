@@ -244,6 +244,16 @@ func TestDecomposeErrors(t *testing.T) {
 	if _, err := Decompose(im, filter.Haar(), filter.Periodic, 0); err == nil {
 		t.Error("levels=0 accepted")
 	}
+	// 1<<levels wraps to 0 or a negative at the word size; the check
+	// must report the image not divisible, not divide by it.
+	for _, levels := range []int{62, 63, 64, 65, 1000} {
+		if err := CheckDecomposable(48, 64, levels); err == nil {
+			t.Errorf("CheckDecomposable(48, 64, %d) accepted", levels)
+		}
+		if _, err := Decompose(im, filter.Haar(), filter.Periodic, levels); err == nil {
+			t.Errorf("levels=%d accepted", levels)
+		}
+	}
 }
 
 func TestParseval2D(t *testing.T) {

@@ -185,6 +185,11 @@ func TestOptionValidation(t *testing.T) {
 	if _, err := DecomposeWith(Landsat(10, 10, 1), bank, WithLevels(2)); err == nil {
 		t.Error("10x10 at 2 levels: want error, got nil")
 	}
+	for _, opts := range [][]Option{{WithLevels(64)}, {WithLevels(64), WithWorkers(2)}} {
+		if _, err := DecomposeWith(im, bank, opts...); err == nil {
+			t.Errorf("%d options with 64 levels: want error, got nil", len(opts))
+		}
+	}
 }
 
 // TestGuardDecomposeShield: the facade's recover shield converts
