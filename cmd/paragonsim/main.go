@@ -64,6 +64,14 @@ func main() {
 	}
 	if *tile {
 		name = "tile/scale"
+		// The scaling figures' -procs default starts at one rank, and
+		// tile/scale needs a coordinator plus backends: it keeps its own
+		// sweep unless -procs is given.
+		procsSet := false
+		flag.Visit(func(fl *flag.Flag) { procsSet = procsSet || fl.Name == "procs" })
+		if !procsSet {
+			opt.Procs = nil
+		}
 	}
 
 	ctx, cancel := f.Context()

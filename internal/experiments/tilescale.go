@@ -17,16 +17,20 @@ import (
 // distributed tile decomposition (internal/gateway/tile.go): rank 0
 // plays the wavegate coordinator, ranks 1..P-1 play waveserved
 // backends, and the nx simulator's 16-node mesh supplies the placement
-// and link-contention physics the HTTP fleet hides. The program mirrors
-// the production protocol exactly — per level the coordinator extracts
-// halo-overlapped row stripes, ships one to each backend, every backend
-// runs a real one-level transform on its stripe, and the coordinator
-// stitches the kept output rows — so the stitched pyramid is verified
-// Float64bits-identical to the sequential transform on every sweep
-// point, the same property the gateway's tile tests pin over HTTP.
+// and link-contention physics the HTTP fleet hides. The program runs
+// the production protocol on the same plan (wavelet.PlanStripes) in one
+// round: the coordinator ships each backend one stripe with a halo deep
+// enough for every level, every backend runs a real L-level transform
+// on it and sends back one pack of the kept rows of every band, and the
+// coordinator places them into the output pyramid. The pyramid is
+// verified Float64bits-identical to the sequential transform on every
+// sweep point, the same property the gateway's tile tests pin over
+// HTTP. The halo is redundant computation the single-node transform
+// never pays, which is why it is charged to the budget's redundancy
+// and why more backends (thinner stripes, the same halo) buy less.
 //
 // Unlike the paper's SPMD ring (wavelet/scaling), this topology is
-// hub-and-spoke: all stripes leave from and all sub-pyramids converge
+// hub-and-spoke: all stripes leave from and all band packs converge
 // on rank 0's node, so the coordinator's serialized sends/receives and
 // the contention on its mesh links are the backpressure that caps
 // fleet scaling — the effect the curve makes visible as backends grow
@@ -48,7 +52,7 @@ var tileScaleProcs = []int{2, 4, 8, 16}
 // message tags of the coordinator/backend protocol.
 const (
 	tagTileStripe = 30 // coordinator -> backend: stripe + halo rows
-	tagTileBands  = 31 // backend -> coordinator: trimmed LL|LH|HL|HH rows
+	tagTileBands  = 31 // backend -> coordinator: kept rows of every band
 )
 
 func runTileScale(ctx context.Context, opt harness.Options) (*harness.Report, error) {
@@ -136,47 +140,33 @@ type tileFanoutResult struct {
 }
 
 // runTileFanout simulates one full pyramid build over the fan-out
-// protocol and verifies the stitched result against want.
+// protocol and verifies the placed result against want.
 func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, machine *mesh.Machine, pl mesh.Placement, p int, bank *filter.Bank, levels int) (*tileFanoutResult, error) {
 	if err := wavelet.CheckDecomposable(im.Rows, im.Cols, levels); err != nil {
 		return nil, err
 	}
 	cost := machine.Cost
 	f := bank.DecLen()
-	// Same halo rule as the gateway coordinator: causal support f-2,
-	// rounded up to even so stripe heights stay decomposable.
-	halo := f - 2
-	if halo < 0 {
-		halo = 0
-	}
-	halo = (halo + 1) &^ 1
-
-	stitched := &wavelet.Pyramid{Bank: bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, levels)}
+	plan := wavelet.PlanStripes(im.Rows, levels, f, p-1)
+	placed := wavelet.NewPyramid(im.Rows, im.Cols, bank, filter.Periodic, levels)
 
 	prog := func(r *nx.Rank) {
 		id := r.ID()
-		backends := r.Procs() - 1
 		if id != 0 {
-			// --- Backend: serve one stripe per level -------------------
-			for l := 0; l < levels; l++ {
-				rows := im.Rows >> uint(l)
-				shares := tileShares(rows/2, backends)
-				if id > len(shares) {
-					continue // more backends than stripes at this depth
-				}
+			// --- Backend: one stripe, every level ----------------------
+			if id <= len(plan) { // more backends than stripes leaves some idle
+				s := plan[id-1]
 				data, _ := r.RecvFloats(0, tagTileStripe)
-				h := 2*shares[id-1] + halo
-				sub := imageFromFloats(h, im.Cols>>uint(l), data)
-				sp, err := wavelet.Decompose(sub, bank, filter.Periodic, 1)
+				sub := imageFromFloats(s.Rows+s.Halo, im.Cols, data)
+				sp, err := wavelet.Decompose(sub, bank, filter.Periodic, levels)
 				if err != nil {
 					panic(&wavelet.UsageError{Op: "tile/scale", Detail: err.Error()})
 				}
-				// One level on an HxC stripe is 2*H*C output coefficients
-				// (row pass + column pass), each f MACs plus fixed
-				// per-coefficient overhead — the calibrated kernel cost.
-				r.Compute(float64(2*sub.Rows*sub.Cols)*(float64(f)*cost.MACTime+cost.CoefTime), budget.Useful)
-				keep := shares[id-1]
-				packed := packBands(sp, keep)
+				// Every MAC at the calibrated kernel cost, plus fixed
+				// per-coefficient overhead (one coefficient per f MACs).
+				macs := float64(wavelet.DecomposeMACs(sub.Rows, sub.Cols, f, levels))
+				r.Compute(macs*(cost.MACTime+cost.CoefTime/float64(f)), budget.Useful)
+				packed := packBands(s.Bands(sp, 0))
 				r.Compute(float64(len(packed))*8*cost.MemByteTime, budget.UniqueRedundancy)
 				r.SendFloats(0, tagTileBands, packed)
 			}
@@ -184,103 +174,49 @@ func runTileFanout(ctx context.Context, im *image.Image, want *wavelet.Pyramid, 
 			return
 		}
 
-		// --- Coordinator: fan out, collect, stitch, recurse ------------
-		var hub float64
-		cur := im
-		for l := 0; l < levels; l++ {
-			half := cur.Rows / 2
-			shares := tileShares(half, backends)
-			r0 := 0
-			t := r.Clock()
-			for i, share := range shares {
-				h := 2*share + halo
-				stripe := extractWrappedRows(cur, r0, h)
-				// Slicing stripes out of the level is parallelization
-				// redundancy the single-node transform never pays.
-				r.Compute(float64(h*cur.Cols)*8*cost.MemByteTime, budget.UniqueRedundancy)
-				r.SendFloats(i+1, tagTileStripe, stripe.Pix)
-				r0 += 2 * share
-			}
-			ll := image.New(half, cur.Cols/2)
-			db := wavelet.DetailBands{
-				LH: image.New(half, cur.Cols/2),
-				HL: image.New(half, cur.Cols/2),
-				HH: image.New(half, cur.Cols/2),
-			}
-			r0 = 0
-			for i, share := range shares {
-				packed, _ := r.RecvFloats(i+1, tagTileBands)
-				unpackBands(ll, db, r0, share, packed)
-				r0 += share
-			}
-			hub += r.Clock() - t
-			stitched.Levels[levels-1-l] = db
-			cur = ll
+		// --- Coordinator: fan out, collect, place ----------------------
+		t := r.Clock()
+		for i, s := range plan {
+			stripe := s.Extract(im)
+			// Slicing stripes out of the image is parallelization
+			// redundancy the single-node transform never pays.
+			r.Compute(float64(len(stripe.Pix))*8*cost.MemByteTime, budget.UniqueRedundancy)
+			r.SendFloats(i+1, tagTileStripe, stripe.Pix)
 		}
-		stitched.Approx = cur
-		r.SetResult(hub)
+		for i, s := range plan {
+			packed, _ := r.RecvFloats(i+1, tagTileBands)
+			unpackBands(s.Bands(placed, s.Start), packed)
+		}
+		r.SetResult(r.Clock() - t)
 	}
 
 	sim, err := nx.RunCtx(ctx, nx.Config{Machine: machine, Placement: pl, Procs: p}, prog)
 	if err != nil {
 		return nil, err
 	}
-	if err := verifyStitched(stitched, want); err != nil {
+	if err := verifyStitched(placed, want); err != nil {
 		return nil, fmt.Errorf("experiments: tile/scale P=%d %s: %w", p, pl.Name(), err)
 	}
 	return &tileFanoutResult{sim: sim, hubComm: sim.Values[0].(float64)}, nil
 }
 
-// tileShares distributes half output rows over at most n stripes —
-// the coordinator's stripeShares rule, duplicated on the backends so
-// both sides derive identical geometry without a handshake.
-func tileShares(half, n int) []int {
-	if n > half {
-		n = half
-	}
-	if n < 1 {
-		n = 1
-	}
-	base, rem := half/n, half%n
-	shares := make([]int, n)
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-	}
-	return shares
-}
-
-// extractWrappedRows copies h full-width rows starting at r0, wrapping
-// modulo the level height — periodic extension, exactly as the gateway.
-func extractWrappedRows(im *image.Image, r0, h int) *image.Image {
-	out := image.New(h, im.Cols)
-	for m := 0; m < h; m++ {
-		copy(out.Row(m), im.Row((r0+m)%im.Rows))
-	}
-	return out
-}
-
-// packBands flattens the kept rows of a one-level pyramid LL|LH|HL|HH.
-func packBands(sp *wavelet.Pyramid, keep int) []float64 {
-	cols := sp.Approx.Cols
-	packed := make([]float64, 0, 4*keep*cols)
-	for _, b := range []*image.Image{sp.Approx, sp.Levels[0].LH, sp.Levels[0].HL, sp.Levels[0].HH} {
-		for m := 0; m < keep; m++ {
+// packBands flattens a stripe's kept band rows (Stripe.Bands) into one
+// message.
+func packBands(bands []*image.Image) []float64 {
+	var packed []float64
+	for _, b := range bands {
+		for m := 0; m < b.Rows; m++ {
 			packed = append(packed, b.Row(m)...)
 		}
 	}
 	return packed
 }
 
-// unpackBands places a backend's packed bands at output row r0.
-func unpackBands(ll *image.Image, db wavelet.DetailBands, r0, share int, packed []float64) {
-	cols := ll.Cols
-	for _, b := range []*image.Image{ll, db.LH, db.HL, db.HH} {
-		for m := 0; m < share; m++ {
-			copy(b.Row(r0+m), packed[:cols])
-			packed = packed[cols:]
+// unpackBands fills the destination band rows from a packBands message.
+func unpackBands(bands []*image.Image, packed []float64) {
+	for _, b := range bands {
+		for m := 0; m < b.Rows; m++ {
+			packed = packed[copy(b.Row(m), packed):]
 		}
 	}
 }

@@ -93,13 +93,13 @@ type Config struct {
 	CacheBytes int64
 	// TileRows enables distributed tile decomposition: a decompose
 	// request whose image has at least TileRows rows is split into row
-	// stripes with filter-length halos, fanned out across the backends,
-	// and stitched bit-identically to the single-node transform
-	// (0 disables tiling). The tiling path assumes backends run the
+	// stripes with halos deep enough for every level, fanned out across
+	// the backends in one round, and assembled bit-identically to the
+	// single-node transform (0 disables tiling). The tiling path assumes backends run the
 	// default periodic extension.
 	TileRows int
 	// TileStripes is how many row stripes a tiled image splits into
-	// (0 = one per backend; capped by the image's decimated height).
+	// (0 = one per backend; capped at the image height over 2^levels).
 	TileStripes int
 	// Transport performs the backend round trips; nil selects a pooled
 	// http.Transport. The chaos suite injects its fault proxy here.

@@ -6,30 +6,30 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
+	"strconv"
 	"sync"
 
 	"wavelethpc/internal/filter"
-	"wavelethpc/internal/image"
 	"wavelethpc/internal/proto"
 	"wavelethpc/internal/wavelet"
 )
 
 // Distributed tile decomposition: the gateway-level realization of the
-// paper's Paragon stripe/halo scheme. An oversized image is split into
-// row stripes, each stripe (plus a filter-length halo) is shipped to a
-// backend as a one-level decompose in the exact float64 raster form, and
-// the returned sub-pyramids are stitched into the global level — then
-// the stitched LL recurses for the next level. The result is
-// Float64bits-identical to the single-node transform because
-//
-//   - horizontal filtering touches each row independently and every
-//     stripe carries full-width rows, and
-//   - the vertical filter is causal (output row j reads input rows
-//     2j .. 2j+f-1), so output rows [r0/2, r0/2+H/2) need exactly input
-//     rows [r0, r0+H+f-2); the halo supplies them, wrapping modulo the
-//     level height so stripe row m IS global row (r0+m) mod R — the
-//     global periodic extension, reproduced exactly even when the halo
-//     wraps all the way around a small level.
+// paper's Paragon stripe/halo scheme in one round trip. An oversized
+// image is split by wavelet.PlanStripes into row stripes of kept rows
+// plus a halo deep enough for all L levels; each stripe is shipped once
+// to a backend as an L-level decompose in the exact float64 raster form,
+// and the kept rows of every band of every returned sub-pyramid are
+// placed straight into the output pyramid. The paper exchanges a guard
+// zone per level; over HTTP each exchange would be a round trip, so the
+// halo trades it for redundant computation: for kept height H and
+// analysis filter length f it is the smallest multiple of 2^L with
+// V_0 = H + halo, V_l = ⌊(V_{l-1}-f+2)/2⌋ >= H/2^l at every level,
+// capped at R-H so no stripe is taller than the R-row image (a capped
+// stripe is the image rotated by its 2^L-aligned start row, whose
+// periodic transform is the rotated transform, so it is exact too).
+// wavelet/stripe.go holds the geometry and why it is
+// Float64bits-identical to the single-node transform.
 //
 // Sub-requests pin tol=0 (the bit-identical convolution tier) and assume
 // backends run the default periodic extension; RouteKey.Shard spreads
@@ -57,32 +57,76 @@ func (g *Gateway) tileRequest(info *proto.RouteInfo) *proto.DecomposeRequest {
 	return req
 }
 
-// tiledDecompose coordinates the stripe fan-out level by level and
-// renders the stitched pyramid in the requested output form. A stripe
-// whose backend answers non-200 short-circuits: that response is
-// forwarded as the overall result so the client sees the authoritative
-// backend diagnostic.
+// tiledDecompose fans the stripes out as one L-level sub-request each,
+// places their kept rows into the output pyramid and renders it in the
+// requested output form. A stripe whose backend answers non-200
+// short-circuits: that response is forwarded as the overall result so
+// the client sees the authoritative backend diagnostic.
 func (g *Gateway) tiledDecompose(ctx context.Context, req *proto.DecomposeRequest) (*Result, error) {
 	stripes := g.cfg.TileStripes
 	if stripes <= 0 {
 		stripes = len(g.backends)
 	}
-	cur := req.Image
-	p := &wavelet.Pyramid{Bank: req.Bank, Ext: filter.Periodic, Levels: make([]wavelet.DetailBands, req.Levels)}
-	attempts := 0
-	for l := 0; l < req.Levels; l++ {
-		level, n, err := g.tileOneLevel(ctx, req.BankName, req.Bank, cur, stripes)
-		if err != nil {
-			return nil, err
-		}
-		if level.errResult != nil {
-			return level.errResult, nil
-		}
-		attempts += n
-		p.Levels[req.Levels-1-l] = wavelet.DetailBands{LH: level.lh, HL: level.hl, HH: level.hh}
-		cur = level.ll
+	im := req.Image
+	plan := wavelet.PlanStripes(im.Rows, req.Levels, req.Bank.DecLen(), stripes)
+	q := url.Values{}
+	q.Set("bank", req.BankName)
+	q.Set("levels", strconv.Itoa(req.Levels))
+	q.Set("output", proto.OutputPyramid)
+
+	type stripeOut struct {
+		res *Result
+		err error
 	}
-	p.Approx = cur
+	outs := make([]stripeOut, len(plan))
+	var wg sync.WaitGroup
+	for i, s := range plan {
+		sub := s.Extract(im)
+		body := bytes.NewBuffer(make([]byte, 0, proto.RasterSize(sub.Rows, sub.Cols)))
+		if err := proto.EncodeRaster(body, sub); err != nil {
+			return nil, fmt.Errorf("gateway: tiling: encoding stripe: %w", err)
+		}
+		sreq := &Request{
+			Method:      http.MethodPost,
+			Path:        "/v1/decompose",
+			Query:       q,
+			Body:        body.Bytes(),
+			ContentType: proto.ContentTypeRaster,
+			Key: RouteKey{
+				Rows: sub.Rows, Cols: sub.Cols,
+				Bank: req.BankName, Levels: req.Levels,
+				Shard: i + 1,
+			},
+		}
+		wg.Add(1)
+		go func(slot int) {
+			defer wg.Done()
+			res, err := g.Do(ctx, sreq)
+			outs[slot] = stripeOut{res: res, err: err}
+		}(i)
+		g.metrics.TileStripes.Add(1)
+	}
+	wg.Wait()
+
+	p := wavelet.NewPyramid(im.Rows, im.Cols, req.Bank, filter.Periodic, req.Levels)
+	attempts := 0
+	for i, s := range plan {
+		o := outs[i]
+		if o.err != nil {
+			return nil, o.err
+		}
+		attempts += o.res.Attempts
+		if o.res.Status != http.StatusOK {
+			return o.res, nil
+		}
+		sp, err := proto.DecodePyramid(bytes.NewReader(o.res.Body))
+		if err == nil {
+			err = s.Place(p, sp)
+		}
+		if err != nil {
+			return nil, fmt.Errorf("gateway: tiling: stripe %d from %s: %w", i, o.res.Backend, err)
+		}
+	}
 
 	g.metrics.TiledRequests.Add(1)
 	buf := bytes.NewBuffer(make([]byte, 0, proto.DecomposeResponseSize(p, req.Output)))
@@ -97,149 +141,6 @@ func (g *Gateway) tiledDecompose(ctx context.Context, req *proto.DecomposeReques
 		Backend:  "tiled",
 		Attempts: attempts,
 	}, nil
-}
-
-// stitchedLevel is one stitched decomposition level.
-type stitchedLevel struct {
-	ll, lh, hl, hh *image.Image
-	// errResult carries a backend's non-200 response verbatim when a
-	// stripe was refused.
-	errResult *Result
-}
-
-// tileOneLevel splits cur into row stripes with halos, fans them out as
-// one-level pyramid sub-requests, and stitches the kept output rows.
-func (g *Gateway) tileOneLevel(ctx context.Context, bankName string, bank *filter.Bank, cur *image.Image, stripes int) (*stitchedLevel, int, error) {
-	rows, cols := cur.Rows, cur.Cols
-	half := rows / 2
-	shares := stripeShares(half, stripes)
-	// Causal analysis support: output row j reads input rows 2j..2j+f-1,
-	// so a stripe of H input rows needs f-2 extra rows below, rounded up
-	// to even so the sub-image height stays decomposable.
-	halo := bank.DecLen() - 2
-	if halo < 0 {
-		halo = 0
-	}
-	halo = (halo + 1) &^ 1
-
-	type stripeOut struct {
-		res      *Result
-		err      error
-		attempts int
-	}
-	outs := make([]stripeOut, len(shares))
-	var wg sync.WaitGroup
-	r0 := 0
-	for i, share := range shares {
-		h := 2 * share
-		sub := extractStripe(cur, r0, h+halo)
-		q := url.Values{}
-		q.Set("bank", bankName)
-		q.Set("levels", "1")
-		q.Set("output", proto.OutputPyramid)
-		body := bytes.NewBuffer(make([]byte, 0, proto.RasterSize(sub.Rows, sub.Cols)))
-		if err := proto.EncodeRaster(body, sub); err != nil {
-			return nil, 0, fmt.Errorf("gateway: tiling: encoding stripe: %w", err)
-		}
-		req := &Request{
-			Method:      http.MethodPost,
-			Path:        "/v1/decompose",
-			Query:       q,
-			Body:        body.Bytes(),
-			ContentType: proto.ContentTypeRaster,
-			Key: RouteKey{
-				Rows: sub.Rows, Cols: sub.Cols,
-				Bank: bankName, Levels: 1,
-				Shard: i + 1,
-			},
-		}
-		wg.Add(1)
-		go func(slot int) {
-			defer wg.Done()
-			res, err := g.Do(ctx, req)
-			outs[slot] = stripeOut{res: res, err: err}
-			if res != nil {
-				outs[slot].attempts = res.Attempts
-			}
-		}(i)
-		g.metrics.TileStripes.Add(1)
-		r0 += h
-	}
-	wg.Wait()
-
-	level := &stitchedLevel{
-		ll: image.New(half, cols/2),
-		lh: image.New(half, cols/2),
-		hl: image.New(half, cols/2),
-		hh: image.New(half, cols/2),
-	}
-	attempts := 0
-	r0 = 0
-	for i, share := range shares {
-		o := outs[i]
-		if o.err != nil {
-			return nil, 0, o.err
-		}
-		attempts += o.attempts
-		if o.res.Status != http.StatusOK {
-			level.errResult = o.res
-			return level, attempts, nil
-		}
-		sp, err := proto.DecodePyramid(bytes.NewReader(o.res.Body))
-		if err != nil {
-			return nil, 0, fmt.Errorf("gateway: tiling: stripe %d from %s: %w", i, o.res.Backend, err)
-		}
-		if sp.Depth() != 1 || sp.Approx.Rows < share || sp.Approx.Cols != cols/2 {
-			return nil, 0, fmt.Errorf("gateway: tiling: stripe %d from %s: unexpected %dx%d depth-%d pyramid",
-				i, o.res.Backend, sp.Approx.Rows, sp.Approx.Cols, sp.Depth())
-		}
-		// Keep output rows [0, share): the halo rows beyond them belong
-		// to the next stripe (or wrapped around) and are discarded.
-		placeRows(level.ll, sp.Approx, r0, share)
-		placeRows(level.lh, sp.Levels[0].LH, r0, share)
-		placeRows(level.hl, sp.Levels[0].HL, r0, share)
-		placeRows(level.hh, sp.Levels[0].HH, r0, share)
-		r0 += share
-	}
-	return level, attempts, nil
-}
-
-// stripeShares distributes half output rows over at most stripes
-// stripes, each getting at least one (stripes is capped at half).
-func stripeShares(half, stripes int) []int {
-	if stripes > half {
-		stripes = half
-	}
-	if stripes < 1 {
-		stripes = 1
-	}
-	base, rem := half/stripes, half%stripes
-	shares := make([]int, stripes)
-	for i := range shares {
-		shares[i] = base
-		if i < rem {
-			shares[i]++
-		}
-	}
-	return shares
-}
-
-// extractStripe copies h full-width rows starting at r0, wrapping row
-// indices modulo the level height — the wrap IS the periodic extension
-// the single-node transform applies at the image boundary.
-func extractStripe(im *image.Image, r0, h int) *image.Image {
-	out := image.New(h, im.Cols)
-	for m := 0; m < h; m++ {
-		copy(out.Row(m), im.Row((r0+m)%im.Rows))
-	}
-	return out
-}
-
-// placeRows copies src rows [0, n) into dst rows [r0, r0+n).
-func placeRows(dst, src *image.Image, r0, n int) {
-	for m := 0; m < n; m++ {
-		copy(dst.Row(r0+m), src.Row(m))
-	}
 }
 
 // memResponseWriter adapts proto's renderer onto an in-memory Result.

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"wavelethpc/internal/filter"
@@ -269,49 +270,49 @@ func TestTiledMatchesSingleBackendWire(t *testing.T) {
 	}
 }
 
-// TestStripeShares pins the stripe split arithmetic.
-func TestStripeShares(t *testing.T) {
-	cases := []struct {
-		half, stripes int
-		want          []int
-	}{
-		{8, 3, []int{3, 3, 2}},
-		{8, 16, []int{1, 1, 1, 1, 1, 1, 1, 1}},
-		{1, 4, []int{1}},
-		{6, 1, []int{6}},
-		{7, 2, []int{4, 3}},
-	}
-	for _, tc := range cases {
-		got := stripeShares(tc.half, tc.stripes)
-		if len(got) != len(tc.want) {
-			t.Fatalf("stripeShares(%d, %d) = %v, want %v", tc.half, tc.stripes, got, tc.want)
+// TestTiledOneSubrequestPerStripe pins the one-round protocol: a tiled
+// request makes one levels=L sub-request per stripe, so the stripe
+// counter grows by the stripe count, not levels × stripes.
+func TestTiledOneSubrequestPerStripe(t *testing.T) {
+	var (
+		mu     sync.Mutex
+		levels []string
+	)
+	urls := make([]string, 2)
+	for i := range urls {
+		s, err := serve.New(serve.Config{QueueDepth: 64, Workers: 2})
+		if err != nil {
+			t.Fatal(err)
 		}
-		sum := 0
-		for i := range got {
-			if got[i] != tc.want[i] {
-				t.Fatalf("stripeShares(%d, %d) = %v, want %v", tc.half, tc.stripes, got, tc.want)
+		h := s.Handler()
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if r.URL.Path == "/v1/decompose" {
+				mu.Lock()
+				levels = append(levels, r.URL.Query().Get("levels"))
+				mu.Unlock()
 			}
-			sum += got[i]
-		}
-		if sum != tc.half {
-			t.Fatalf("stripeShares(%d, %d) sums to %d", tc.half, tc.stripes, sum)
-		}
+			h.ServeHTTP(w, r)
+		}))
+		t.Cleanup(func() {
+			srv.Close()
+			s.Shutdown(context.Background())
+		})
+		urls[i] = srv.URL
 	}
-}
-
-// TestExtractStripeWraps checks halo rows wrap modulo the level height —
-// the periodic extension reproduced at stripe granularity.
-func TestExtractStripeWraps(t *testing.T) {
-	im := image.New(4, 2)
-	for r := 0; r < 4; r++ {
-		im.Set(r, 0, float64(r))
-		im.Set(r, 1, float64(r))
+	g := newTestGateway(t, Config{Backends: urls, Seed: 3, TileRows: 1, TileStripes: 3})
+	rec := postDecompose(t, g, "?bank=db8&levels=3&output=pyramid", "", encodePGM(t, image.Landsat(64, 32, 4)))
+	if rec.Code != http.StatusOK || rec.Header().Get("X-Wavegate-Backend") != "tiled" {
+		t.Fatalf("status %d backend %q: %s", rec.Code, rec.Header().Get("X-Wavegate-Backend"), rec.Body.String())
 	}
-	s := extractStripe(im, 2, 6) // rows 2,3,0,1,2,3
-	wantRows := []float64{2, 3, 0, 1, 2, 3}
-	for m, want := range wantRows {
-		if s.At(m, 0) != want {
-			t.Fatalf("stripe row %d = %g, want %g", m, s.At(m, 0), want)
+	if got := g.Metrics().TileStripes.Value(); got != 3 {
+		t.Fatalf("wavegate_tile_stripes_total = %d, want 3", got)
+	}
+	if len(levels) != 3 {
+		t.Fatalf("backends saw %d sub-requests, want 3", len(levels))
+	}
+	for _, l := range levels {
+		if l != "3" {
+			t.Fatalf("sub-request levels = %q, want 3", l)
 		}
 	}
 }

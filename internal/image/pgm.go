@@ -61,36 +61,21 @@ const (
 // whitespace in the header are handled; maxval up to 255 is supported.
 // Malformed input — a truncated header or pixel stream, non-numeric or
 // oversized dimensions, an unsupported maxval — yields an error, never a
-// panic or an unbounded allocation.
+// panic or an unbounded allocation. When r reports its unread length
+// (a *bytes.Reader, *bytes.Buffer or *strings.Reader, or proto's request
+// body bounded by its Content-Length), a declared raster larger than the
+// bytes that can still arrive is refused before anything is allocated
+// for it.
 func ReadPGM(r io.Reader) (*Image, error) {
 	br := bufio.NewReader(r)
-	magic, err := pgmToken(br)
+	rows, cols, err := ParsePGMHeader(br)
 	if err != nil {
-		return nil, fmt.Errorf("image: bad PGM header: %w", err)
+		return nil, err
 	}
-	if magic != "P5" {
-		return nil, fmt.Errorf("image: bad PGM magic %q (only binary P5 supported)", magic)
-	}
-	dims := make([]int, 3)
-	for i := range dims {
-		tok, err := pgmToken(br)
-		if err != nil {
-			return nil, fmt.Errorf("image: bad PGM header: %w", err)
+	if lr, ok := r.(interface{ Len() int }); ok {
+		if avail := lr.Len() + br.Buffered(); rows*cols > avail {
+			return nil, fmt.Errorf("image: short PGM pixel data: %d bytes declared, %d can arrive", rows*cols, avail)
 		}
-		dims[i], err = strconv.Atoi(tok)
-		if err != nil {
-			return nil, fmt.Errorf("image: bad PGM header token %q", tok)
-		}
-	}
-	cols, rows, maxval := dims[0], dims[1], dims[2]
-	if cols <= 0 || rows <= 0 || cols > maxPGMDim || rows > maxPGMDim {
-		return nil, fmt.Errorf("image: bad PGM dimensions %dx%d", cols, rows)
-	}
-	if cols*rows > maxPGMPixels {
-		return nil, fmt.Errorf("image: PGM size %dx%d exceeds %d pixels", cols, rows, maxPGMPixels)
-	}
-	if maxval <= 0 || maxval > 255 {
-		return nil, fmt.Errorf("image: unsupported PGM maxval %d", maxval)
 	}
 	im := New(rows, cols)
 	buf := make([]byte, cols)
@@ -106,36 +91,77 @@ func ReadPGM(r io.Reader) (*Image, error) {
 	return im, nil
 }
 
+// ParsePGMHeader reads a binary (P5) PGM header — magic, width, height
+// and maxval, with '#' comments and whitespace between them — up to and
+// including the one whitespace byte that ends it, and validates the
+// shape and maxval. It is the one header parser of ReadPGM and of
+// proto's shape sniffer, so the gateway routes on the shape the reader
+// decodes.
+func ParsePGMHeader(br io.ByteReader) (rows, cols int, err error) {
+	var buf [maxPGMToken]byte
+	magic, err := pgmToken(br, &buf)
+	if err != nil {
+		return 0, 0, fmt.Errorf("image: bad PGM header: %w", err)
+	}
+	if string(magic) != "P5" {
+		return 0, 0, fmt.Errorf("image: bad PGM magic %q (only binary P5 supported)", string(magic))
+	}
+	var dims [3]int
+	for i := range dims {
+		tok, err := pgmToken(br, &buf)
+		if err != nil {
+			return 0, 0, fmt.Errorf("image: bad PGM header: %w", err)
+		}
+		dims[i], err = strconv.Atoi(string(tok))
+		if err != nil {
+			return 0, 0, fmt.Errorf("image: bad PGM header token %q", string(tok))
+		}
+	}
+	cols, rows, maxval := dims[0], dims[1], dims[2]
+	if cols <= 0 || rows <= 0 || cols > maxPGMDim || rows > maxPGMDim {
+		return 0, 0, fmt.Errorf("image: bad PGM dimensions %dx%d", cols, rows)
+	}
+	if cols*rows > maxPGMPixels {
+		return 0, 0, fmt.Errorf("image: PGM size %dx%d exceeds %d pixels", cols, rows, maxPGMPixels)
+	}
+	if maxval <= 0 || maxval > 255 {
+		return 0, 0, fmt.Errorf("image: unsupported PGM maxval %d", maxval)
+	}
+	return rows, cols, nil
+}
+
 // maxPGMToken bounds a header token's length; no valid magic, dimension,
 // or maxval comes close, and the cap keeps a whitespace-free input from
 // accumulating into one giant token.
 const maxPGMToken = 32
 
-// pgmToken returns the next whitespace-delimited header token, skipping
-// '#' comments. The single whitespace byte after the final header token is
-// consumed by the caller's read of this token's trailing delimiter.
-func pgmToken(br *bufio.Reader) (string, error) {
-	var tok []byte
+// pgmToken returns the next whitespace-delimited header token in buf,
+// skipping '#' comments; a comment inside a token ends at its newline
+// and the token continues after it. The single whitespace byte after
+// the final header token is consumed as this token's trailing
+// delimiter.
+func pgmToken(br io.ByteReader, buf *[maxPGMToken]byte) ([]byte, error) {
+	tok := buf[:0]
 	for {
 		b, err := br.ReadByte()
 		if err != nil {
 			if err == io.EOF && len(tok) > 0 {
-				return string(tok), nil
+				return tok, nil
 			}
-			return "", err
+			return nil, err
 		}
 		switch {
 		case b == '#':
 			if err := skipPGMComment(br); err != nil {
-				return "", err
+				return nil, err
 			}
 		case b == ' ' || b == '\t' || b == '\n' || b == '\r':
 			if len(tok) > 0 {
-				return string(tok), nil
+				return tok, nil
 			}
 		default:
 			if len(tok) >= maxPGMToken {
-				return "", fmt.Errorf("header token longer than %d bytes", maxPGMToken)
+				return nil, fmt.Errorf("header token longer than %d bytes", maxPGMToken)
 			}
 			tok = append(tok, b)
 		}
@@ -145,7 +171,7 @@ func pgmToken(br *bufio.Reader) (string, error) {
 // skipPGMComment consumes the rest of a '#' comment line without
 // buffering it (ReadString would otherwise hold an arbitrarily long
 // comment in memory).
-func skipPGMComment(br *bufio.Reader) error {
+func skipPGMComment(br io.ByteReader) error {
 	for {
 		b, err := br.ReadByte()
 		if err != nil {

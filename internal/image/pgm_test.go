@@ -2,6 +2,8 @@ package image
 
 import (
 	"bytes"
+	"io"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -28,6 +30,32 @@ func TestPGMHostileHeaders(t *testing.T) {
 	for name, data := range cases {
 		if _, err := ReadPGM(strings.NewReader(data)); err == nil {
 			t.Errorf("%s: ReadPGM succeeded, want error", name)
+		}
+	}
+}
+
+// TestReadPGMBoundsDeclaredRaster checks a header declaring more pixels
+// than the source can still deliver fails before the pixel plane is
+// allocated: the 17-byte body below declares 4096x4096 (128 MiB of
+// float64).
+func TestReadPGMBoundsDeclaredRaster(t *testing.T) {
+	const limit = 1 << 20
+	body := []byte("P5 4096 4096 255\n")
+	for name, src := range map[string]func() io.Reader{
+		"bytes.Reader":   func() io.Reader { return bytes.NewReader(body) },
+		"bytes.Buffer":   func() io.Reader { return bytes.NewBuffer(body) },
+		"strings.Reader": func() io.Reader { return strings.NewReader(string(body)) },
+	} {
+		r := src()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadPGM(r)
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Fatalf("%s: ReadPGM accepted a header-only body", name)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n >= limit {
+			t.Errorf("%s: allocated %d bytes, want < %d", name, n, limit)
 		}
 	}
 }

@@ -279,6 +279,20 @@ func TestHostileHeaderAllocation(t *testing.T) {
 			t.Errorf("ParseDecompose (Content-Length %d): err = %v, want a bad_request codec error", contentLength, perr)
 		}
 	}
+	// The legacy form bounds the PGM reader the same way: a 17-byte
+	// header declaring 4096x4096 pixels allocates no pixel plane.
+	pgm := []byte("P5 4096 4096 255\n")
+	for _, contentLength := range []int64{int64(len(pgm)), -1} {
+		r := httptest.NewRequest(http.MethodPost, "/v1/decompose?output=pyramid", noLen{bytes.NewReader(pgm)})
+		r.ContentLength = contentLength
+		var perr *Error
+		if n := allocDuring(func() { _, perr = ParseDecompose(httptest.NewRecorder(), r, 1<<20) }); n >= limit {
+			t.Errorf("ParseDecompose PGM (Content-Length %d): allocated %d bytes, want < %d", contentLength, n, limit)
+		}
+		if perr == nil || perr.Code != CodeBadRequest {
+			t.Errorf("ParseDecompose PGM (Content-Length %d): err = %v, want bad_request", contentLength, perr)
+		}
+	}
 }
 
 // TestCodecAllocs gates the codecs' allocation counts: encoding makes a

@@ -272,11 +272,7 @@ func ParseDecompose(w http.ResponseWriter, r *http.Request, maxBody int64) (*Dec
 	// so a refused request has still read its body. In the legacy form
 	// the body is the PGM, whatever the Content-Type (curl's
 	// --data-binary default included).
-	var src io.Reader = body
-	if form == ContentTypeRaster {
-		src = boundedBody(body, r.ContentLength, maxBody)
-	}
-	im, perr := decodeImage(form, src)
+	im, perr := decodeImage(form, boundedBody(body, r.ContentLength, maxBody))
 	if perr != nil {
 		return nil, perr
 	}
@@ -303,8 +299,8 @@ func decodeImage(form string, r io.Reader) (*image.Image, *Error) {
 }
 
 // lenReader is an io.LimitedReader that reports its remaining bytes
-// through Len, the method the binary decoders size a declared payload
-// against before allocating for it.
+// through Len, the method the raster codec and the PGM reader size a
+// declared payload against before allocating for it.
 type lenReader struct{ io.LimitedReader }
 
 func (l *lenReader) Len() int { return int(l.N) }
@@ -493,48 +489,14 @@ func (info *RouteInfo) Decode() (*DecomposeRequest, *Error) {
 	return &req, nil
 }
 
-// SniffPGMShape reads just enough of a binary PGM (P5) header to learn
-// the image shape — no pixel decoding, no allocation. Malformed headers
-// report ok = false; whoever decodes the pixels produces the real
-// diagnostic.
+// SniffPGMShape learns a binary PGM (P5) image's shape from its header
+// with the reader's own parser (image.ParsePGMHeader), decoding no
+// pixel. A header the reader refuses reports ok = false; whoever
+// decodes the pixels produces the real diagnostic.
 func SniffPGMShape(body []byte) (rows, cols int, ok bool) {
-	i := 0
-	if len(body) < 2 || body[0] != 'P' || body[1] != '5' {
+	rows, cols, err := image.ParsePGMHeader(bytes.NewReader(body))
+	if err != nil {
 		return 0, 0, false
 	}
-	i = 2
-	next := func() (int, bool) {
-		for i < len(body) {
-			c := body[i]
-			if c == '#' {
-				for i < len(body) && body[i] != '\n' {
-					i++
-				}
-				continue
-			}
-			if c == ' ' || c == '\t' || c == '\n' || c == '\r' {
-				i++
-				continue
-			}
-			break
-		}
-		start := i
-		for i < len(body) && body[i] >= '0' && body[i] <= '9' {
-			i++
-		}
-		if i == start || i-start > 9 {
-			return 0, false
-		}
-		n := 0
-		for _, c := range body[start:i] {
-			n = n*10 + int(c-'0')
-		}
-		return n, true
-	}
-	w, okW := next()
-	h, okH := next()
-	if !okW || !okH || w <= 0 || h <= 0 {
-		return 0, 0, false
-	}
-	return h, w, true
+	return rows, cols, true
 }

@@ -562,6 +562,7 @@ func FuzzParseDecompose(f *testing.F) {
 	f.Add("levels=1", "application/json; charset=utf-8", []byte(`{"v":1,"bank":"nope","image_pgm":"UDUKMiAyCjI1NQoAAQID"}`))
 	f.Add("bank=haar&levels=1&output=pyramid", ContentTypeRaster, raster.Bytes())
 	f.Add("bank=haar&levels=1", ContentTypeRaster, raster.Bytes()[:20])
+	f.Add("bank=haar&levels=1", "", append([]byte("P5 2#x\n4 4 255\n"), make([]byte, 96)...))
 
 	const maxBody = 1 << 20
 	f.Fuzz(func(t *testing.T, rawQuery, contentType string, body []byte) {
@@ -587,6 +588,11 @@ func FuzzParseDecompose(f *testing.F) {
 		if !image.EqualBits(dec.Image, req.Image) {
 			t.Fatal("the two parsers decoded different images")
 		}
+		// Whenever the reader accepts, the sniffer reports its shape.
+		if !info.ShapeOK || info.Rows != req.Image.Rows || info.Cols != req.Image.Cols {
+			t.Fatalf("sniffed %dx%d (ok=%v), decoded %dx%d",
+				info.Rows, info.Cols, info.ShapeOK, req.Image.Rows, req.Image.Cols)
+		}
 	})
 }
 
@@ -605,6 +611,10 @@ func TestSniffPGMShape(t *testing.T) {
 		{"P5 640 480 255\n", 480, 640, true},
 		{"P6 640 480 255\n", 0, 0, false},
 		{"P5", 0, 0, false},
+		// A comment inside a token ends at its newline and the token
+		// continues ("2#x\n4" is width 24): the reader decodes 4 rows of
+		// 24, so must the sniffer.
+		{"P5 2#x\n4 4 255\n" + strings.Repeat("\x00", 96), 4, 24, true},
 	}
 	for _, tc := range cases {
 		rows, cols, ok := SniffPGMShape([]byte(tc.body))

@@ -29,6 +29,7 @@ import (
 	"fmt"
 
 	"wavelethpc/internal/filter"
+	"wavelethpc/internal/wavelet"
 )
 
 // Algorithm selects the decimation strategy.
@@ -143,7 +144,7 @@ func (m *Machine) DecomposeTime(alg Algorithm, virt Virtualization, n, f, levels
 	if n <= 0 || f <= 0 || levels <= 0 {
 		return 0, fmt.Errorf("simd: invalid decomposition %dx%d f=%d levels=%d", n, n, f, levels)
 	}
-	if n%(1<<uint(levels)) != 0 {
+	if !wavelet.DivisiblePow2(n, levels) {
 		return 0, fmt.Errorf("simd: %d not divisible by 2^%d", n, levels)
 	}
 	pes := float64(m.PEs())

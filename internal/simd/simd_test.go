@@ -139,6 +139,11 @@ func TestDilutedDecomposeErrors(t *testing.T) {
 	if _, err := DilutedDecompose1D(make([]float64, 8), filter.Haar(), 0); err == nil {
 		t.Error("zero levels accepted")
 	}
+	for _, levels := range []int{62, 63, 64, 65} {
+		if _, err := DilutedDecompose1D(make([]float64, 64), filter.Haar(), levels); err == nil {
+			t.Errorf("levels=%d accepted", levels)
+		}
+	}
 }
 
 func TestSystolicAnalyze2DMatchesWavelet(t *testing.T) {
@@ -255,6 +260,11 @@ func TestDecomposeTimeValidation(t *testing.T) {
 	}
 	if _, err := m.DecomposeTime(Systolic, Hierarchical, 100, 8, 3); err == nil {
 		t.Error("non-divisible size accepted")
+	}
+	for _, levels := range []int{62, 63, 64, 65} {
+		if _, err := m.DecomposeTime(Systolic, Hierarchical, 512, 8, levels); err == nil {
+			t.Errorf("levels=%d accepted", levels)
+		}
 	}
 }
 

@@ -101,7 +101,7 @@ func DilutedDecompose1D(x []float64, bank *filter.Bank, levels int) (*wavelet.De
 	if levels < 1 {
 		return nil, fmt.Errorf("simd: levels = %d", levels)
 	}
-	if len(x)%(1<<uint(levels)) != 0 {
+	if !wavelet.DivisiblePow2(len(x), levels) {
 		return nil, fmt.Errorf("simd: length %d not divisible by 2^%d", len(x), levels)
 	}
 	d := &wavelet.Decomposition1D{Bank: bank, Ext: filter.Periodic, Details: make([][]float64, levels)}

@@ -1,6 +1,10 @@
 package simd
 
-import "fmt"
+import (
+	"fmt"
+
+	"wavelethpc/internal/wavelet"
+)
 
 // Virtualization layouts, made functional: when the image is larger than
 // the PE array, each logical pixel is owned by a physical PE, and a
@@ -92,7 +96,7 @@ func (l *Layout) MeasuredDecomposeTime(alg Algorithm, f, levels int) (float64, e
 	if levels <= 0 || f <= 0 {
 		return 0, fmt.Errorf("simd: invalid f=%d levels=%d", f, levels)
 	}
-	if l.N%(1<<uint(levels)) != 0 {
+	if !wavelet.DivisiblePow2(l.N, levels) {
 		return 0, fmt.Errorf("simd: %d not divisible by 2^%d", l.N, levels)
 	}
 	m := l.M

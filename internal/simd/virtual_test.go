@@ -131,6 +131,13 @@ func TestMeasuredDecomposeValidation(t *testing.T) {
 	if _, err := l.MeasuredDecomposeTime(Systolic, 8, 30); err == nil {
 		t.Error("absurd depth accepted")
 	}
+	// 1<<levels wraps at the word size; the check must refuse, not
+	// divide by it.
+	for _, levels := range []int{62, 63, 64, 65} {
+		if _, err := l.MeasuredDecomposeTime(Systolic, 8, levels); err == nil {
+			t.Errorf("levels=%d accepted", levels)
+		}
+	}
 }
 
 func TestDilutionMeasuredShiftGrowsWithLevel(t *testing.T) {

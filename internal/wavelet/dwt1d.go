@@ -49,7 +49,7 @@ func Decompose1D(x []float64, bank *filter.Bank, ext filter.Extension, levels in
 	if levels < 1 {
 		return nil, fmt.Errorf("wavelet: levels = %d, want >= 1", levels)
 	}
-	if len(x)%(1<<uint(levels)) != 0 {
+	if !DivisiblePow2(len(x), levels) {
 		return nil, fmt.Errorf("wavelet: length %d not divisible by 2^%d", len(x), levels)
 	}
 	d := &Decomposition1D{Bank: bank, Ext: ext, Details: make([][]float64, levels)}

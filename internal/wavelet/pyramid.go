@@ -37,11 +37,18 @@ func CheckDecomposable(rows, cols, levels int) error {
 	if levels < 1 {
 		return fmt.Errorf("wavelet: levels = %d, want >= 1", levels)
 	}
-	// 1<<levels overflows at the word size, and no image is that tall.
-	if levels >= bits.UintSize-1 || rows%(1<<levels) != 0 || cols%(1<<levels) != 0 {
+	if !DivisiblePow2(rows, levels) || !DivisiblePow2(cols, levels) {
 		return fmt.Errorf("wavelet: %dx%d image not divisible by 2^%d", rows, cols, levels)
 	}
 	return nil
+}
+
+// DivisiblePow2 reports whether n is divisible by 2^levels, the one
+// level check of the 2-D, 1-D and MasPar paths. 1<<levels overflows at
+// the word size, and nothing is that long, so such levels report false
+// instead of dividing by zero.
+func DivisiblePow2(n, levels int) bool {
+	return levels >= 0 && levels < bits.UintSize-1 && n%(1<<levels) == 0
 }
 
 // DecomposeReference runs the textbook multi-resolution algorithm of the

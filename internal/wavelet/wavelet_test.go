@@ -119,6 +119,13 @@ func TestDecompose1DErrors(t *testing.T) {
 	if _, err := Decompose1D(x, filter.Haar(), filter.Periodic, 3); err == nil {
 		t.Error("12 %% 8 != 0 accepted")
 	}
+	// 1<<levels wraps at the word size; the check must refuse, not
+	// divide by it.
+	for _, levels := range []int{62, 63, 64, 65} {
+		if _, err := Decompose1D(make([]float64, 64), filter.Haar(), filter.Periodic, levels); err == nil {
+			t.Errorf("levels=%d accepted", levels)
+		}
+	}
 }
 
 func TestParseval1D(t *testing.T) {
