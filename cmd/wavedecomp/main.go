@@ -45,6 +45,13 @@ func main() {
 		}
 		return
 	}
+	// Padding makes each side a multiple of 2^levels, and a padded side
+	// longer than a PGM side (2^16) is refused, so 16 levels is the most
+	// any input can take; with -synthetic bounded by the same side below,
+	// no input reaches that refusal.
+	if *levels < 1 || *levels > 16 {
+		log.Fatalf("-levels %d: want 1 to 16", *levels)
+	}
 	name := *filterN
 	if *bankN != "" {
 		if name != "" && name != *bankN {
@@ -61,6 +68,8 @@ func main() {
 	}
 	var im *wavelethpc.Image
 	switch {
+	case *synthetic > 1<<16:
+		log.Fatalf("-synthetic %d: want at most %d, the longest PGM side", *synthetic, 1<<16)
 	case *synthetic > 0:
 		im = wavelethpc.Landsat(*synthetic, *synthetic, *seed)
 	case *in != "":

@@ -49,11 +49,11 @@ func clampByte(v float64) byte {
 	return byte(v)
 }
 
-// maxPGMDim bounds each PGM dimension and maxPGMPixels their product:
+// MaxPGMDim bounds each PGM dimension and maxPGMPixels their product:
 // the reader allocates the pixel plane before streaming the data, so a
 // hostile header must not be able to demand an absurd allocation.
 const (
-	maxPGMDim    = 1 << 16
+	MaxPGMDim    = 1 << 16
 	maxPGMPixels = 1 << 24
 )
 
@@ -118,7 +118,7 @@ func ParsePGMHeader(br io.ByteReader) (rows, cols int, err error) {
 		}
 	}
 	cols, rows, maxval := dims[0], dims[1], dims[2]
-	if cols <= 0 || rows <= 0 || cols > maxPGMDim || rows > maxPGMDim {
+	if cols <= 0 || rows <= 0 || cols > MaxPGMDim || rows > MaxPGMDim {
 		return 0, 0, fmt.Errorf("image: bad PGM dimensions %dx%d", cols, rows)
 	}
 	if cols*rows > maxPGMPixels {

@@ -8,6 +8,8 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"wavelethpc/internal/filter"
@@ -100,6 +102,7 @@ func TestDoToleranceRejectsOutOfRange(t *testing.T) {
 // transform of its own class: tol 0 bit-identical to wavelet.Decompose,
 // tol Eps to wavelet.DecomposeTol's lifted output.
 func TestTolerancePoolsSeparate(t *testing.T) {
+	holdPools(t)
 	s, err := New(Config{Workers: 1, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -140,6 +143,7 @@ func TestTolerancePoolsSeparate(t *testing.T) {
 // tier, shares the tol-0 pool, so distinct tol values cannot grow the
 // pool map without bound.
 func TestTolerancePoolsKeyOnTier(t *testing.T) {
+	holdPools(t)
 	s, err := New(Config{Workers: 1, Levels: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -174,6 +178,21 @@ func TestTolerancePoolsKeyOnTier(t *testing.T) {
 	if got := s.CreatedDecomposers(); !raceEnabled && got != 2 {
 		t.Errorf("CreatedDecomposers = %d, want 2 (one per tier)", got)
 	}
+}
+
+// holdPools makes a test's CreatedDecomposers count deterministic. The
+// pools are sync.Pools, so two things can build an extra Decomposer: a
+// garbage collection between two requests empties them, and an executor
+// that runs the next request on another P cannot see the Decomposer the
+// last one left in its P's private slot. holdPools holds the collector
+// off and runs the test on one P until it ends.
+func holdPools(t *testing.T) {
+	gc := debug.SetGCPercent(-1)
+	procs := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() {
+		runtime.GOMAXPROCS(procs)
+		debug.SetGCPercent(gc)
+	})
 }
 
 // requirePyramidBits fails unless got matches want band for band by

@@ -214,10 +214,11 @@ func axpySeg(d, s []float64, w float64) {
 // Outputs in [a, b) are pairs (2m, 2m+1) whose sources are interior in
 // both channels; they sum both channels in registers, four pairs side
 // by side so eight independent accumulator chains hide the
-// floating-point add latency. No RecLo border source reaches them: a
-// border position 2i+k lies in [2·lastLo+2, n+f-3], which stays at or
-// above b, Periodic wraps below f-2 <= a, Symmetric reflects to
-// n-f+2 >= b, and Zero drops. The few other outputs take the terms
+// floating-point add latency, in the interior loop pickPairs chooses
+// for the filter lengths (synthpairs.go). No RecLo border source
+// reaches them: a border position 2i+k lies in [2·lastLo+2, n+f-3],
+// which stays at or above b, Periodic wraps below f-2 <= a, Symmetric
+// reflects to n-f+2 >= b, and Zero drops. The few other outputs take the terms
 // channel by channel, with the RecLo border sources scattered between
 // the channels.
 type rowSynth struct {
@@ -225,6 +226,7 @@ type rowSynth struct {
 	ext            filter.Extension
 	lastLo, lastHi int
 	a, b           int
+	pairs          pairFunc
 }
 
 // newRowSynth builds the row stage for rows of n samples.
@@ -232,7 +234,7 @@ type rowSynth struct {
 //wavelint:hotpath
 func newRowSynth(bank *filter.Bank, ext filter.Extension, n int) rowSynth {
 	lo, hi := bank.RecLo, bank.RecHi
-	s := rowSynth{lo: lo, hi: hi, ext: ext, lastLo: lastInterior(n, len(lo)), lastHi: lastInterior(n, len(hi))}
+	s := rowSynth{lo: lo, hi: hi, ext: ext, lastLo: lastInterior(n, len(lo)), lastHi: lastInterior(n, len(hi)), pairs: pickPairs(lo, hi)}
 	s.a = 2 * max((len(lo)-1)/2, (len(hi)-1)/2)
 	s.b = 2*min(s.lastLo, s.lastHi) + 2
 	if s.b <= s.a {
@@ -248,43 +250,7 @@ func (s *rowSynth) merge(out, l, h []float64) {
 	s.edges(out, l, s.lo, s.lastLo, true)
 	synthScatter(l, s.lo, s.ext, out, s.lastLo)
 	s.edges(out, h, s.hi, s.lastHi, false)
-	m := s.a / 2
-	for ; 2*m+8 <= s.b; m += 4 {
-		var e0, o0, e1, o1, e2, o2, e3, o3 float64
-		for ch := 0; ch < 2; ch++ {
-			c, f := l, s.lo
-			if ch == 1 {
-				c, f = h, s.hi
-			}
-			t, to := (len(f)-1)/2, len(f)/2-1
-			if t > to {
-				// Odd filter length: the even outputs have one more tap.
-				w := f[2*t]
-				cc := c[m-t : m-t+4]
-				e0 += w * cc[0]
-				e1 += w * cc[1]
-				e2 += w * cc[2]
-				e3 += w * cc[3]
-				t--
-			}
-			for ; t >= 0; t-- {
-				we, wo := f[2*t], f[2*t+1]
-				cc := c[m-t : m-t+4]
-				v0, v1, v2, v3 := cc[0], cc[1], cc[2], cc[3]
-				e0 += we * v0
-				o0 += wo * v0
-				e1 += we * v1
-				o1 += wo * v1
-				e2 += we * v2
-				o2 += wo * v2
-				e3 += we * v3
-				o3 += wo * v3
-			}
-		}
-		o8 := out[2*m : 2*m+8]
-		o8[0], o8[1], o8[2], o8[3] = e0, o0, e1, o1
-		o8[4], o8[5], o8[6], o8[7] = e2, o2, e3, o3
-	}
+	m := s.pairs(out, l, h, s.lo, s.hi, s.a/2, s.b)
 	for j := 2 * m; j < s.b; j++ {
 		out[j] = 0
 		synthGatherAt(l, s.lo, out, j, s.lastLo)

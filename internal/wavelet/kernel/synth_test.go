@@ -172,7 +172,8 @@ func dirtyRing(stale []float64) *Ring {
 
 // TestSynthesizeLevelRangeBitIdentical checks the fused inverse sweep
 // against the two-pass kernels it replaced, over every catalog bank
-// (equal and split channel lengths, odd lengths), every extension
+// (equal and split channel lengths, odd lengths) and a bank of random
+// taps for each unrolled merge length, every extension
 // including an unknown one, outputs shorter than the filter, and
 // splits of the output rows into one range, single rows and three
 // uneven ranges, each call on a dirty ring over a stale output.
@@ -182,11 +183,27 @@ func TestSynthesizeLevelRangeBitIdentical(t *testing.T) {
 	// (no interior source), 128 rows give the odd-length banks long
 	// columns, and 10×140 spans several unrolled row blocks.
 	shapes := [][2]int{{2, 2}, {2, 4}, {4, 6}, {8, 2}, {14, 10}, {16, 16}, {26, 8}, {128, 4}, {10, 140}}
+	// Widths 24–70 give each unrolled merge length (2, 8, 9) an odd and
+	// an even interior pair count, exactly one four-pair block (24 for 8
+	// and 9, 10 for 2) and every scalar tail of zero to three pairs.
+	shapes = append(shapes, [][2]int{{10, 24}, {10, 34}, {10, 36}, {10, 66}, {10, 70}}...)
+	var banks []*filter.Bank
 	for _, name := range filter.Names() {
 		b, err := filter.ByName(name)
 		if err != nil {
 			t.Fatal(err)
 		}
+		banks = append(banks, b)
+	}
+	// rbio4.4, the catalog's one length-9 bank, pads its RecHi with zero
+	// taps, and a zero tap hides a wrong source index; banks of random
+	// taps, none zero, check every unrolled merge length in full.
+	for _, f := range []int{2, 8, 9} {
+		taps := randImage(2, f, int64(f))
+		banks = append(banks, &filter.Bank{Name: fmt.Sprintf("dense%d", f), RecLo: taps.Row(0), RecHi: taps.Row(1)})
+	}
+	for _, b := range banks {
+		name := b.Name
 		for _, ext := range exts {
 			for _, sh := range shapes {
 				rows, cols := sh[0], sh[1]

@@ -48,8 +48,11 @@ func CheckDecomposable(rows, cols, levels int) error {
 // the word size, and nothing is that long, so such levels report false
 // instead of dividing by zero.
 func DivisiblePow2(n, levels int) bool {
-	return levels >= 0 && levels < bits.UintSize-1 && n%(1<<levels) == 0
+	return pow2Levels(levels) && n%(1<<levels) == 0
 }
+
+// pow2Levels reports whether 1<<levels is a positive int.
+func pow2Levels(levels int) bool { return levels >= 0 && levels < bits.UintSize-1 }
 
 // DecomposeReference runs the textbook multi-resolution algorithm of the
 // paper's Section 2 — levels iterations of row filtering, column
@@ -166,12 +169,24 @@ func DecomposeMACs(rows, cols, f, levels int) int {
 // multiples of 2^levels by symmetric (reflective) extension, along with
 // the original size, so arbitrary rasters can go through Decompose. If
 // the image is already decomposable it is returned unchanged.
+//
+// It panics with a *UsageError when levels is negative or 2^levels
+// overflows an int (the levels DivisiblePow2 refuses), and when a
+// padded side would be longer than a PGM side may be (image.MaxPGMDim),
+// rather than divide by zero or try to allocate it.
 func PadToDecomposable(im *image.Image, levels int) (padded *image.Image, origRows, origCols int) {
-	m := 1 << uint(levels)
-	rows := (im.Rows + m - 1) / m * m
-	cols := (im.Cols + m - 1) / m * m
+	if !pow2Levels(levels) {
+		panic(usage("PadToDecomposable", "PadToDecomposable to %d levels, want 0 to %d", levels, bits.UintSize-2))
+	}
+	m := 1 << levels
+	rows := im.Rows + (m-im.Rows%m)%m
+	cols := im.Cols + (m-im.Cols%m)%m
 	if rows == im.Rows && cols == im.Cols {
 		return im, im.Rows, im.Cols
+	}
+	if rows > image.MaxPGMDim || cols > image.MaxPGMDim {
+		panic(usage("PadToDecomposable", "PadToDecomposable of %dx%d to %d levels needs %dx%d, over the %d-per-side image cap",
+			im.Rows, im.Cols, levels, rows, cols, image.MaxPGMDim))
 	}
 	out := image.New(rows, cols)
 	for r := 0; r < rows; r++ {

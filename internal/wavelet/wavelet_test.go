@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -468,6 +469,31 @@ func TestPadToDecomposable(t *testing.T) {
 	same, _, _ := PadToDecomposable(sq, 3)
 	if same != sq {
 		t.Error("decomposable image was copied")
+	}
+}
+
+// TestPadToDecomposableRefusesLevels: levels with no int 2^levels, or
+// whose padding would make a side longer than the image side cap, are a
+// *UsageError panic, not a division by zero or a 2^levels-row
+// allocation: 17 levels would pad a 50×70 raster to 131072×131072.
+func TestPadToDecomposableRefusesLevels(t *testing.T) {
+	im := image.Landsat(50, 70, 3)
+	for _, levels := range []int{-1, 17, 40, 63, 64, 1000} {
+		requireUsagePanic(t, fmt.Sprintf("levels %d", levels), "PadToDecomposable", func() { PadToDecomposable(im, levels) })
+	}
+	// 7 levels pad 50×70 to 128×128, inside the cap.
+	if padded, _, _ := PadToDecomposable(im, 7); padded.Rows != 128 || padded.Cols != 128 {
+		t.Errorf("7 levels padded to %dx%d, want 128x128", padded.Rows, padded.Cols)
+	}
+	if same, _, _ := PadToDecomposable(im, 0); same != im {
+		t.Error("0 levels copied the image")
+	}
+	// A padded image may hold more pixels than a PGM header may declare;
+	// only its sides are capped. 9 levels pad 1×32769 to 512×33280,
+	// 17 039 360 pixels, over the 2^24 a PGM may have.
+	wide := image.New(1, 32769)
+	if padded, _, _ := PadToDecomposable(wide, 9); padded.Rows != 512 || padded.Cols != 33280 {
+		t.Errorf("9 levels padded 1x32769 to %dx%d, want 512x33280", padded.Rows, padded.Cols)
 	}
 }
 

@@ -194,7 +194,9 @@ func DecomposeBatch(images []*Image, bank *FilterBank, levels, workers int) ([]*
 
 // PadToDecomposable rounds an image up to dimensions divisible by
 // 2^levels with symmetric extension, returning the padded image and the
-// original size for cropping after reconstruction.
+// original size for cropping after reconstruction. It panics with a
+// *wavelet.UsageError when levels is negative or 2^levels overflows an
+// int, or when a padded side would exceed the PGM side cap.
 func PadToDecomposable(im *Image, levels int) (padded *Image, origRows, origCols int) {
 	return wavelet.PadToDecomposable(im, levels)
 }
