@@ -9,9 +9,10 @@
 // same scene; then each level of the three-level transform as one
 // whole-level fused kernel call, forward and inverse; then the lifting
 // tier's fused level kernel against the two-pass kernels it replaced;
-// then the four wire codecs on a 256-square db8 request. The derived
-// block records the headline ratios the PR gates check
-// (fast-vs-reference speedup, steady-state allocations).
+// then the four wire codecs on a 256-square db8 request. Each entry is
+// the fastest of three testing.Benchmark runs. The derived block
+// records the headline ratios the PR gates check (fast-vs-reference
+// speedup, steady-state allocations).
 //
 // Usage:
 //
@@ -68,15 +69,35 @@ type report struct {
 	Derived   map[string]float64 `json:"derived"`
 }
 
+// measure records benchmark fn as the fastest of measureRuns
+// testing.Benchmark runs.
 func measure(name string, fn func(b *testing.B)) result {
-	r := testing.Benchmark(fn)
-	return result{
-		Name:        name,
-		Iterations:  r.N,
-		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-		AllocsPerOp: r.AllocsPerOp(),
-		BytesPerOp:  r.AllocedBytesPerOp(),
+	return fastest(name, func() testing.BenchmarkResult { return testing.Benchmark(fn) })
+}
+
+// measureRuns is how many times measure runs each benchmark. One run on
+// a loaded machine can read tens of percent slow; the fastest of a few
+// is what the code can do.
+const measureRuns = 3
+
+// fastest calls run measureRuns times and returns the run with the
+// lowest ns/op as name's result.
+func fastest(name string, run func() testing.BenchmarkResult) result {
+	var best result
+	for i := 0; i < measureRuns; i++ {
+		r := run()
+		res := result{
+			Name:        name,
+			Iterations:  r.N,
+			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
+			AllocsPerOp: r.AllocsPerOp(),
+			BytesPerOp:  r.AllocedBytesPerOp(),
+		}
+		if i == 0 || res.NsPerOp < best.NsPerOp {
+			best = res
+		}
 	}
+	return best
 }
 
 func main() {

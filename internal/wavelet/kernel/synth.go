@@ -113,77 +113,16 @@ func (s *synthColumn) gather(r int, a, b *image.Image, xa, xb [][]float64, w []f
 	return t
 }
 
-// combineTerms sets d[c] = Σ w[t]·x[t][c], started at +0 and summed in
-// ascending t. Blocks of up to eight terms are added with the running
-// sum held in a register, each resuming from the partial sums the
-// previous block stored in d, which changes no bit.
+// combineCols sets d[c] = Σ w[t]·x[t][c] for the columns c >= c0 of d,
+// each started at +0 and summed in ascending t: the pure-Go
+// combineTerms, and the tail the vector loop leaves.
 //
 //wavelint:hotpath
-func combineTerms(d []float64, x [][]float64, w []float64) {
+func combineCols(d []float64, x [][]float64, w []float64, c0 int) {
+	d = d[c0:]
 	zeroSeg(d)
-	for len(x) > 0 {
-		switch {
-		case len(x) >= 8:
-			sum8(d, x, w)
-			x, w = x[8:], w[8:]
-		case len(x) >= 4:
-			sum4(d, x, w)
-			x, w = x[4:], w[4:]
-		case len(x) >= 2:
-			sum2(d, x, w)
-			x, w = x[2:], w[2:]
-		default:
-			axpySeg(d, x[0], w[0])
-			x, w = x[1:], w[1:]
-		}
-	}
-}
-
-//wavelint:hotpath
-func sum2(d []float64, x [][]float64, w []float64) {
-	n := len(d)
-	x0, x1 := x[0][:n], x[1][:n]
-	w0, w1 := w[0], w[1]
-	for c := range d {
-		a := d[c]
-		a += w0 * x0[c]
-		a += w1 * x1[c]
-		d[c] = a
-	}
-}
-
-//wavelint:hotpath
-func sum4(d []float64, x [][]float64, w []float64) {
-	n := len(d)
-	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
-	w0, w1, w2, w3 := w[0], w[1], w[2], w[3]
-	for c := range d {
-		a := d[c]
-		a += w0 * x0[c]
-		a += w1 * x1[c]
-		a += w2 * x2[c]
-		a += w3 * x3[c]
-		d[c] = a
-	}
-}
-
-//wavelint:hotpath
-func sum8(d []float64, x [][]float64, w []float64) {
-	n := len(d)
-	x0, x1, x2, x3 := x[0][:n], x[1][:n], x[2][:n], x[3][:n]
-	x4, x5, x6, x7 := x[4][:n], x[5][:n], x[6][:n], x[7][:n]
-	w0, w1, w2, w3, w4, w5, w6, w7 := w[0], w[1], w[2], w[3], w[4], w[5], w[6], w[7]
-	for c := range d {
-		a := d[c]
-		a += w0 * x0[c]
-		a += w1 * x1[c]
-		a += w2 * x2[c]
-		a += w3 * x3[c]
-		a += w4 * x4[c]
-		a += w5 * x5[c]
-		a += w6 * x6[c]
-		a += w7 * x7[c]
-		d[c] = a
+	for t, xt := range x {
+		axpySeg(d, xt[c0:c0+len(d)], w[t])
 	}
 }
 
@@ -213,20 +152,17 @@ func axpySeg(d, s []float64, w float64) {
 //
 // Outputs in [a, b) are pairs (2m, 2m+1) whose sources are interior in
 // both channels; they sum both channels in registers, four pairs side
-// by side so eight independent accumulator chains hide the
-// floating-point add latency, in the interior loop pickPairs chooses
-// for the filter lengths (synthpairs.go). No RecLo border source
-// reaches them: a border position 2i+k lies in [2·lastLo+2, n+f-3],
-// which stays at or above b, Periodic wraps below f-2 <= a, Symmetric
-// reflects to n-f+2 >= b, and Zero drops. The few other outputs take the terms
-// channel by channel, with the RecLo border sources scattered between
-// the channels.
+// by side (mergeInterior: a vector loop where the CPU has one, else
+// mergePairs). No RecLo border source reaches them: a border position
+// 2i+k lies in [2·lastLo+2, n+f-3], which stays at or above b, Periodic
+// wraps below f-2 <= a, Symmetric reflects to n-f+2 >= b, and Zero
+// drops. The few other outputs take the terms channel by channel, with
+// the RecLo border sources scattered between the channels.
 type rowSynth struct {
 	lo, hi         []float64
 	ext            filter.Extension
 	lastLo, lastHi int
 	a, b           int
-	pairs          pairFunc
 }
 
 // newRowSynth builds the row stage for rows of n samples.
@@ -234,7 +170,7 @@ type rowSynth struct {
 //wavelint:hotpath
 func newRowSynth(bank *filter.Bank, ext filter.Extension, n int) rowSynth {
 	lo, hi := bank.RecLo, bank.RecHi
-	s := rowSynth{lo: lo, hi: hi, ext: ext, lastLo: lastInterior(n, len(lo)), lastHi: lastInterior(n, len(hi)), pairs: pickPairs(lo, hi)}
+	s := rowSynth{lo: lo, hi: hi, ext: ext, lastLo: lastInterior(n, len(lo)), lastHi: lastInterior(n, len(hi))}
 	s.a = 2 * max((len(lo)-1)/2, (len(hi)-1)/2)
 	s.b = 2*min(s.lastLo, s.lastHi) + 2
 	if s.b <= s.a {
@@ -250,13 +186,64 @@ func (s *rowSynth) merge(out, l, h []float64) {
 	s.edges(out, l, s.lo, s.lastLo, true)
 	synthScatter(l, s.lo, s.ext, out, s.lastLo)
 	s.edges(out, h, s.hi, s.lastHi, false)
-	m := s.pairs(out, l, h, s.lo, s.hi, s.a/2, s.b)
+	m := mergeInterior(out, l, h, s.lo, s.hi, s.a/2, s.b)
 	for j := 2 * m; j < s.b; j++ {
 		out[j] = 0
 		synthGatherAt(l, s.lo, out, j, s.lastLo)
 		synthGatherAt(h, s.hi, out, j, s.lastHi)
 	}
 	synthScatter(h, s.hi, s.ext, out, s.lastHi)
+}
+
+// mergePairs writes the interior outputs of a synthesis row four pairs
+// at a time: every block of pairs (2k, 2k+1), k in [m, m+4), with
+// 2m+8 <= b, merged from the L half l and the H half h under the RecLo
+// filter lo and the RecHi filter hi. It returns the first pair it left
+// for the scalar tail.
+//
+// Every output is summed in registers as rowSynth documents: +0, the
+// extra even RecLo tap of an odd length, the RecLo taps by descending t
+// (ascending source index), then the RecHi taps the same way.
+//
+//wavelint:hotpath
+func mergePairs(out, l, h, lo, hi []float64, m, b int) int {
+	for ; 2*m+8 <= b; m += 4 {
+		var e0, o0, e1, o1, e2, o2, e3, o3 float64
+		for ch := 0; ch < 2; ch++ {
+			c, f := l, lo
+			if ch == 1 {
+				c, f = h, hi
+			}
+			t, to := (len(f)-1)/2, len(f)/2-1
+			if t > to {
+				// Odd filter length: the even outputs have one more tap.
+				w := f[2*t]
+				cc := c[m-t : m-t+4]
+				e0 += w * cc[0]
+				e1 += w * cc[1]
+				e2 += w * cc[2]
+				e3 += w * cc[3]
+				t--
+			}
+			for ; t >= 0; t-- {
+				we, wo := f[2*t], f[2*t+1]
+				cc := c[m-t : m-t+4]
+				v0, v1, v2, v3 := cc[0], cc[1], cc[2], cc[3]
+				e0 += we * v0
+				o0 += wo * v0
+				e1 += we * v1
+				o1 += wo * v1
+				e2 += we * v2
+				o2 += wo * v2
+				e3 += we * v3
+				o3 += wo * v3
+			}
+		}
+		o8 := out[2*m : 2*m+8]
+		o8[0], o8[1], o8[2], o8[3] = e0, o0, e1, o1
+		o8[4], o8[5], o8[6], o8[7] = e2, o2, e3, o3
+	}
+	return m
 }
 
 // edges adds the interior terms of channel c to the outputs outside

@@ -1,0 +1,19 @@
+//go:build !amd64 || purego
+
+package kernel
+
+// combineTerms sets d[c] = Σ w[t]·x[t][c], started at +0 and summed in
+// ascending t.
+//
+//wavelint:hotpath
+func combineTerms(d []float64, x [][]float64, w []float64) {
+	combineCols(d, x, w, 0)
+}
+
+// mergeInterior writes the interior blocks of pairs from m on and
+// returns the first pair it left.
+//
+//wavelint:hotpath
+func mergeInterior(out, l, h, lo, hi []float64, m, b int) int {
+	return mergePairs(out, l, h, lo, hi, m, b)
+}
