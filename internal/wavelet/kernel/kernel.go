@@ -1,7 +1,8 @@
 // Package kernel provides the fast-path kernels behind the
 // shared-memory DWT: the fused single-sweep analysis and synthesis of
-// one level, unrolled row filters for the hot banks, and pooled scratch
-// that eliminates per-level allocations.
+// one level, whose row and column sums run on one lane-parallel combine
+// (AVX2 assembly on amd64), and pooled scratch that eliminates
+// per-level allocations.
 //
 // The paper's argument — and this package's reason to exist — is that
 // the Mallat transform's memory-access pattern, not its FLOP count,
@@ -13,10 +14,11 @@
 // last F filtered L/H rows (F the longer analysis channel), keeps the
 // rows that border outputs reach by wrapping or reflecting below that
 // window in slots of their own, and column-filters every output row
-// from the ring with each coefficient accumulated in a register. No
-// full-size L/H intermediate is written or read back. The two-pass
-// AnalyzeRowsRange and AnalyzeColsRange (the latter walking narrow
-// column panels row by row) remain for the Walsh–Hadamard cascade.
+// from the ring, eight columns at a time with each coefficient in a
+// vector lane. No full-size L/H intermediate is written or read back.
+// The two-pass AnalyzeRowsRange (with unrolled row filters for the hot
+// lengths) and AnalyzeColsRange (walking narrow column panels row by
+// row) remain for the Walsh–Hadamard cascade.
 //
 // Bit-identity contract: every kernel performs, for each output
 // coefficient, exactly the same sequence of floating-point operations as
@@ -30,10 +32,12 @@
 // math.Float64bits comparisons.
 //
 // The fused sweep keeps the contract because each ring row is exactly
-// the row AnalyzeRowsRange would have written to the intermediate (same
-// row kernel, same input), and each subband coefficient then starts at
-// zero and adds h[k]·row[2i+k] over the ring rows in ascending k, with
-// the reference interior/border split. Rows filtered twice — shared by
+// the row AnalyzeRowsRange would have written to the intermediate (the
+// same terms in the same order, whether from its row kernel or, under
+// periodic extension, from tap views of the deinterleaved row), and
+// each subband coefficient then starts at zero and adds h[k]·row[2i+k]
+// over the ring rows in ascending k, with the reference interior/border
+// split. Rows filtered twice — shared by
 // two output-row ranges, or held both in the window and in a wrapped
 // slot — are computed twice the same way.
 //

@@ -115,14 +115,30 @@ func (s *synthColumn) gather(r int, a, b *image.Image, xa, xb [][]float64, w []f
 
 // combineCols sets d[c] = Σ w[t]·x[t][c] for the columns c >= c0 of d,
 // each started at +0 and summed in ascending t: the pure-Go
-// combineTerms, and the tail the vector loop leaves.
+// combineTerms, and the tail the vector loop leaves. It adds four terms
+// per pass over d, in a register, so d is loaded and stored once per
+// four terms.
 //
 //wavelint:hotpath
 func combineCols(d []float64, x [][]float64, w []float64, c0 int) {
 	d = d[c0:]
+	n := len(d)
 	zeroSeg(d)
-	for t, xt := range x {
-		axpySeg(d, xt[c0:c0+len(d)], w[t])
+	t := 0
+	for ; t+4 <= len(x); t += 4 {
+		x0, x1, x2, x3 := x[t][c0:c0+n], x[t+1][c0:c0+n], x[t+2][c0:c0+n], x[t+3][c0:c0+n]
+		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
+		for c := range d {
+			a := d[c]
+			a += w0 * x0[c]
+			a += w1 * x1[c]
+			a += w2 * x2[c]
+			a += w3 * x3[c]
+			d[c] = a
+		}
+	}
+	for ; t < len(x); t++ {
+		axpySeg(d, x[t][c0:c0+n], w[t])
 	}
 }
 

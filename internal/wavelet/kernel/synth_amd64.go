@@ -3,7 +3,7 @@
 package kernel
 
 // hasAVX2 reports whether the CPU and the OS support the AVX2 loops of
-// the synthesis sweep (synth_amd64.s). It is set once, at package init.
+// the fused sweeps (synth_amd64.s). It is set once, at package init.
 var hasAVX2 = detectAVX2()
 
 // detectAVX2 checks CPUID for AVX and AVX2, and for OSXSAVE with XCR0
@@ -44,6 +44,12 @@ func combineAVX2(d []float64, x [][]float64, w []float64)
 //go:noescape
 func mergeAVX2(out, l, h, lo, hi []float64)
 
+// deinterleaveAVX2 is deinterleave over len(e)/4 blocks of eight
+// samples of x. o must hold len(e) samples and x 2·len(e).
+//
+//go:noescape
+func deinterleaveAVX2(e, o, x []float64)
+
 // combineTerms sets d[c] = Σ w[t]·x[t][c], started at +0 and summed in
 // ascending t: eight columns at a time in AVX2, the rest in Go.
 //
@@ -59,6 +65,19 @@ func combineTerms(d []float64, x [][]float64, w []float64) {
 		combineAVX2(d, x, w)
 	}
 	combineCols(d, x, w, n)
+}
+
+// deinterleave sets e[m] = x[2m] and o[m] = x[2m+1] for m < len(e):
+// four pairs at a time in AVX2, the rest in Go.
+//
+//wavelint:hotpath
+func deinterleave(e, o, x []float64) {
+	m := 0
+	if hasAVX2 {
+		m = len(e) &^ 3
+		deinterleaveAVX2(e[:m], o[:m], x[:2*m])
+	}
+	deinterleaveCols(e, o, x, m)
 }
 
 // mergeInterior writes the interior blocks of pairs from m on, as

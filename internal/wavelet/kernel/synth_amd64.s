@@ -67,6 +67,39 @@ combineTerm:
 combineDone:
 	RET
 
+// func deinterleaveAVX2(e, o, x []float64)
+//
+// For each block of eight samples of x, the four even ones go to e and
+// the four odd ones to o.
+TEXT ·deinterleaveAVX2(SB), NOSPLIT, $0-72
+	MOVQ e_base+0(FP), DI
+	MOVQ e_len+8(FP), CX
+	SHRQ $2, CX                  // blocks
+	JZ   deinterleaveDone
+	MOVQ o_base+24(FP), SI
+	MOVQ x_base+48(FP), DX
+
+	PCALIGN $32
+
+deinterleaveBlock:
+	VMOVUPD   (DX), Y0           // x0 x1 x2 x3
+	VMOVUPD   32(DX), Y1         // x4 x5 x6 x7
+	VUNPCKLPD Y1, Y0, Y2         // x0 x4 x2 x6
+	VUNPCKHPD Y1, Y0, Y3         // x1 x5 x3 x7
+	VPERMPD   $0xD8, Y2, Y2      // x0 x2 x4 x6
+	VPERMPD   $0xD8, Y3, Y3      // x1 x3 x5 x7
+	VMOVUPD   Y2, (DI)
+	VMOVUPD   Y3, (SI)
+	ADDQ      $64, DX
+	ADDQ      $32, DI
+	ADDQ      $32, SI
+	DECQ      CX
+	JNZ       deinterleaveBlock
+	VZEROUPPER
+
+deinterleaveDone:
+	RET
+
 // func mergeAVX2(out, l, h, lo, hi []float64)
 //
 // For each block of four pairs, Y0 holds the even outputs and Y1 the

@@ -8,31 +8,6 @@ import (
 	"testing"
 )
 
-// specialRow is a random row of n samples in which every third sample
-// is ±0 or a subnormal, and the samples at the positions in bad are, in
-// turn, +Inf, NaN and -Inf: one NaN per row.
-//
-// Where two NaNs meet in one sum, x86 keeps the first operand's
-// payload, and the Go compiler orders the operands of a commutative add
-// as its register allocation falls, so the tests give every sum at most
-// one non-finite source (an Inf times a zero tap makes the one NaN).
-func specialRow(n int, seed int64, bad ...int) []float64 {
-	row := randImage(1, n, seed).Row(0)
-	tiny := []float64{0, math.Copysign(0, -1), 5e-324, -2.5e-310}
-	for c := range row {
-		if (c+int(seed))%3 == 0 {
-			row[c] = tiny[(c/3+int(seed))%len(tiny)]
-		}
-	}
-	huge := []float64{math.Inf(1), math.NaN(), math.Inf(-1)}
-	for k, c := range bad {
-		if c < n {
-			row[c] = huge[k%len(huge)]
-		}
-	}
-	return row
-}
-
 // TestCombineAVX2MatchesGo compares combineTerms' vector path with the
 // Go loop by Float64bits, over 1–20 terms and every width 1–80, which
 // covers no, one and several eight-column chunks with every tail.
@@ -97,6 +72,34 @@ func TestMergeAVX2MatchesGo(t *testing.T) {
 					requireBits(t, name, want, got)
 				}
 			}
+		}
+	}
+}
+
+// TestDeinterleaveAVX2MatchesGo compares deinterleave's vector path with
+// the Go loop by Float64bits, for every half width 0–80 (no, one and
+// several four-pair blocks with every tail), and checks that neither
+// writes past the halves.
+func TestDeinterleaveAVX2MatchesGo(t *testing.T) {
+	if !hasAVX2 {
+		t.Skip("no AVX2")
+	}
+	for m := 0; m <= 80; m++ {
+		x := specialRow(2*m, int64(m), 1, 6, 11)
+		var halves [4][]float64
+		for k := range halves {
+			halves[k] = make([]float64, m+1)
+			for c := range halves[k] {
+				halves[k][c] = math.Inf(-1)
+			}
+		}
+		deinterleaveCols(halves[0][:m], halves[1][:m], x, 0)
+		deinterleave(halves[2][:m], halves[3][:m], x)
+		name := fmt.Sprintf("m%d", m)
+		requireBits(t, name+"/even", halves[0], halves[2])
+		requireBits(t, name+"/odd", halves[1], halves[3])
+		if !math.IsInf(halves[2][m], -1) || !math.IsInf(halves[3][m], -1) {
+			t.Fatalf("%s: deinterleave wrote past the halves", name)
 		}
 	}
 }

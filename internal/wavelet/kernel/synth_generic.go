@@ -10,6 +10,13 @@ func combineTerms(d []float64, x [][]float64, w []float64) {
 	combineCols(d, x, w, 0)
 }
 
+// deinterleave sets e[m] = x[2m] and o[m] = x[2m+1] for m < len(e).
+//
+//wavelint:hotpath
+func deinterleave(e, o, x []float64) {
+	deinterleaveCols(e, o, x, 0)
+}
+
 // mergeInterior writes the interior blocks of pairs from m on and
 // returns the first pair it left.
 //
