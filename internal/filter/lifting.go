@@ -460,7 +460,7 @@ func ApplyLifting1D(s, d []float64, sch *LiftingScheme) {
 		for i := 0; i < half; i++ {
 			var acc float64
 			for j, t := range st.Taps {
-				acc += t * src[wrapIndex(i+st.Lo+j, half)]
+				acc += float64(t * src[wrapIndex(i+st.Lo+j, half)])
 			}
 			dst[i] += acc
 		}
