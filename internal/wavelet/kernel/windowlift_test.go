@@ -184,3 +184,43 @@ func TestLiftLevelRangeSyntheticSchemes(t *testing.T) {
 		}
 	}
 }
+
+// wideLiftShapes are levels whose half-widths 24–31 and 65 make a ring
+// row's halves span several four- and eight-sample chunks of the vector
+// lifting routine and leave every tail, in the row steps' interiors as
+// well as in the column steps and the output rows.
+var wideLiftShapes = [][2]int{{12, 48}, {12, 50}, {16, 52}, {14, 54}, {18, 56}, {12, 58}, {16, 60}, {12, 62}, {16, 130}}
+
+// TestLiftLevelRangeWideMatchesTwoPass checks the fused lifting sweep
+// against the two-pass kernels at wideLiftShapes for every lifting
+// scheme, whole-level and in 3-row ranges, each range on its own dirty
+// ring. One +Inf in the source spreads through the steps as ±Inf and
+// the default NaN.
+func TestLiftLevelRangeWideMatchesTwoPass(t *testing.T) {
+	for _, sch := range allLiftSchemes(t) {
+		for _, sh := range wideLiftShapes {
+			rows, cols := sh[0], sh[1]
+			src := randImage(rows, cols, int64(rows*1000+cols))
+			src.Row(rows / 3)[cols/5] = math.Inf(1)
+			want := liftTwoPass(src, sch)
+			for _, chunk := range []int{rows / 2, 3} {
+				var got [4]*image.Image
+				for k := range got {
+					got[k] = image.New(rows/2, cols/2)
+					got[k].Fill(math.NaN())
+				}
+				for i0 := 0; i0 < rows/2; i0 += chunk {
+					ring := &Ring{}
+					dirty := ring.reserve(8*rows, cols, 1)
+					for k := range dirty {
+						dirty[k] = math.Inf(-1)
+					}
+					LiftLevelRange(got[0], got[1], got[2], got[3], src, sch, i0, min(i0+chunk, rows/2), ring)
+				}
+				if err := liftBandsDiffer(want, got); err != nil {
+					t.Fatalf("%s %dx%d chunk %d: %v", sch.Bank, rows, cols, chunk, err)
+				}
+			}
+		}
+	}
+}
