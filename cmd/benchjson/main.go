@@ -6,7 +6,8 @@
 // pyramid), the allocating one-shot dispatch, the pre-kernel reference
 // path, and the shared-memory parallel transform; then the inverse, as
 // a warm 5-level Reconstruct and a 4-worker ParallelReconstruct of the
-// same scene; then each level of the three-level transform as one
+// same scene, and a 2-worker ParallelReconstruct of a 2048² scene;
+// then each level of the three-level transform as one
 // whole-level fused kernel call, forward and inverse; then the lifting
 // tier's fused level kernel against the two-pass kernels it replaced;
 // then the four wire codecs on a 256-square db8 request. Each entry is
@@ -189,7 +190,7 @@ func main() {
 			reconSink = core.ParallelReconstruct(pyr, 4)
 		}
 	})
-	rep.Results = append([]result{steady, oneShot, ref, par4, recon, parRecon}, levelResults(im, bank, levels)...)
+	rep.Results = append([]result{steady, oneShot, ref, par4, recon, parRecon, largeReconResult(bank, reconLevels)}, levelResults(im, bank, levels)...)
 	rep.Results = append(rep.Results, liftResults()...)
 	rep.Results = append(rep.Results, codecResults()...)
 
@@ -208,6 +209,27 @@ func main() {
 
 // reconSink keeps the measured reconstructions live.
 var reconSink *image.Image
+
+// largeReconResult times a 2-worker ParallelReconstruct of a levels-deep
+// 2048² pyramid, the scene workload's largest inverse, with its output
+// allocation inside the timed call: the shape at which the output's
+// zeroing overlaps the coarse levels. The result is first checked
+// Float64bits-equal to the sequential Reconstruct.
+func largeReconResult(bank *filter.Bank, levels int) result {
+	pyr, err := wavelet.Decompose(image.Landsat(2048, 2048, 42), bank, filter.Periodic, levels)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if !image.EqualBits(core.ParallelReconstruct(pyr, 2), wavelet.Reconstruct(pyr)) {
+		log.Fatal("ParallelReconstruct differs from Reconstruct")
+	}
+	return measure("ParallelReconstruct2048Workers2", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			reconSink = core.ParallelReconstruct(pyr, 2)
+		}
+	})
+}
 
 // levelResults times each level of the suite's three-level transform of
 // im as one whole-level call of the fused kernels the drivers run:

@@ -12,15 +12,18 @@ import (
 // that merges each L|H row, with no full-size L/H intermediate.
 //
 // For each output row r it column-synthesizes the L|H row r straight
-// from the few source rows whose support covers r into a one-row
+// from the few source rows whose support covers r into a small
 // scratch: every coefficient starts at +0 and adds the RecLo terms —
 // interior sources in ascending i, then the border sources (those whose
 // support 2i..2i+f-1 leaves the column) in ascending (i, k) through
 // ext.Index — and then the RecHi terms in the same order, which is the
 // order wavelet.SynthesizeStep gives each column coefficient. It then
 // merges the L and H halves into the output row in the same order
-// (rowSynth). scratch is resized as needed and must not be shared by
-// concurrent calls.
+// (rowSynth). The rows 2m and 2m+1 of a pair whose rows take interior
+// terms only in both channels read the same source rows, so they are
+// column-synthesized together, each source row loaded once for both
+// (gatherPair, combinePair). scratch is resized as needed and must not
+// be shared by concurrent calls.
 //
 //wavelint:hotpath
 func SynthesizeLevelRange(out, ll, lh, hl, hh *image.Image, bank *filter.Bank, ext filter.Extension, r0, r1 int, scratch *Ring) {
@@ -28,22 +31,54 @@ func SynthesizeLevelRange(out, ll, lh, hl, hh *image.Image, bank *filter.Bank, e
 	lo := newSynthColumn(bank.RecLo, ext, n)
 	hi := newSynthColumn(bank.RecHi, ext, n)
 	terms := lo.maxTerms() + hi.maxTerms()
-	// One slot of c+⌈terms/2⌉ L/H samples holds the L|H row and the
-	// weights; the tap table holds both sides' source rows.
-	buf := scratch.reserve(1, c+(terms+1)/2, 2*terms)
-	row, w := buf[:2*c], buf[2*c:2*c+terms]
+	// Two slots of c+⌈terms/2⌉ L/H samples hold the L|H rows of a pair
+	// and two weights per term; the tap table holds both sides' source
+	// rows.
+	buf := scratch.reserve(2, c+(terms+1)/2, 2*terms)
+	row0, row1, w := buf[:2*c], buf[2*c:4*c], buf[4*c:4*c+2*terms]
 	xl, xr := scratch.taps[:terms], scratch.taps[terms:]
 	rs := newRowSynth(bank, ext, out.Cols)
-	for r := r0; r < r1; r++ {
+	pa, pb := pairRows(&lo, &hi)
+	for r := r0; r < r1; {
+		if r&1 == 0 && r >= pa && r+2 <= min(pb, r1) {
+			m := r / 2
+			t, lead := lo.gatherPair(m, ll, hl, xl, xr, w, 0, 0)
+			t, lead = hi.gatherPair(m, lh, hh, xl, xr, w, t, lead)
+			combinePair(row0[:c], row1[:c], xl[:t], w[:2*t], lead)
+			combinePair(row0[c:], row1[c:], xr[:t], w[:2*t], lead)
+			rs.merge(out.Row(r), row0[:c], row0[c:])
+			rs.merge(out.Row(r+1), row1[:c], row1[c:])
+			r += 2
+			continue
+		}
 		t := lo.gather(r, ll, hl, xl, xr, w, 0)
 		t = hi.gather(r, lh, hh, xl, xr, w, t)
-		combineTerms(row[:c], xl[:t], w[:t])
-		combineTerms(row[c:], xr[:t], w[:t])
-		rs.merge(out.Row(r), row[:c], row[c:])
+		combineTerms(row0[:c], xl[:t], w[:t])
+		combineTerms(row0[c:], xr[:t], w[:t])
+		rs.merge(out.Row(r), row0[:c], row0[c:])
+		r++
 	}
 	// The ring outlives this call in a pool or an arena; drop its row
 	// references so it does not keep the subbands alive.
 	clear(scratch.taps)
+}
+
+// maxPairTerms bounds the terms of a pair of output rows, so that its
+// lead marks fit one uint64; a bank with more takes its rows one by
+// one.
+const maxPairTerms = 64
+
+// pairRows returns the output rows [pa, pb), pa even, whose pairs
+// (2m, 2m+1) gatherPair can take: rows that take interior terms only in
+// both channels, [f-2, 2·last+2) for each.
+//
+//wavelint:hotpath
+func pairRows(lo, hi *synthColumn) (pa, pb int) {
+	if (len(lo.h)+1)/2+(len(hi.h)+1)/2 > maxPairTerms {
+		return 0, 0
+	}
+	pa = max(0, len(lo.h)-2, len(hi.h)-2)
+	return pa + pa&1, 2*min(lo.last, hi.last) + 2
 }
 
 // lastInterior returns the last source of an n-sample synthesis whose
@@ -130,15 +165,89 @@ func combineCols(d []float64, x [][]float64, w []float64, c0 int) {
 		w0, w1, w2, w3 := w[t], w[t+1], w[t+2], w[t+3]
 		for c := range d {
 			a := d[c]
-			a += w0 * x0[c]
-			a += w1 * x1[c]
-			a += w2 * x2[c]
-			a += w3 * x3[c]
+			a += float64(w0 * x0[c])
+			a += float64(w1 * x1[c])
+			a += float64(w2 * x2[c])
+			a += float64(w3 * x3[c])
 			d[c] = a
 		}
 	}
 	for ; t < len(x); t++ {
 		axpySeg(d, x[t][c0:c0+n], w[t])
+	}
+}
+
+// gatherPair appends the channel's terms of the output rows 2m and
+// 2m+1, both in [f-2, 2·last+2), to the tap tables from index t, in the
+// reference order of each row: the source rows of a go to xa, those of
+// b to xb, and the two rows' weights to w[2t] and w[2t+1]. The rows
+// share their sources m-⌊f/2⌋+1..m, except that under an odd f row 2m
+// takes one more, m-(f-1)/2, first: a lead term, marked by its bit in
+// lead, which row 2m+1 does not take (its w[2t+1] is unused). It
+// returns the new term count and lead marks.
+//
+//wavelint:hotpath
+func (s *synthColumn) gatherPair(m int, a, b *image.Image, xa, xb [][]float64, w []float64, t int, lead uint64) (int, uint64) {
+	f := len(s.h)
+	i := m - (f-1)/2
+	if f&1 != 0 {
+		xa[t], xb[t], w[2*t], w[2*t+1] = a.Row(i), b.Row(i), s.h[f-1], 0
+		lead |= 1 << t
+		t++
+		i++
+	}
+	for ; i <= m; i++ {
+		xa[t], xb[t], w[2*t], w[2*t+1] = a.Row(i), b.Row(i), s.h[2*(m-i)], s.h[2*(m-i)+1]
+		t++
+	}
+	return t, lead
+}
+
+// combinePairCols sets d0[c] and d1[c], for the columns c >= c0 of d0,
+// to the column sums of a pair of output rows over one term list: each
+// starts at +0 and adds, in ascending t, w[2t]·x[t][c] to d0 and
+// w[2t+1]·x[t][c] to d1, except that a lead term (its bit set in lead)
+// adds to d0 only. It is the pure-Go combinePair and the tail its
+// vector loop leaves. It adds up to four shared terms per pass over
+// the columns, in registers.
+//
+//wavelint:hotpath
+func combinePairCols(d0, d1 []float64, x [][]float64, w []float64, lead uint64, c0 int) {
+	d0, d1 = d0[c0:], d1[c0:len(d0)]
+	n := len(d0)
+	zeroSeg(d0)
+	zeroSeg(d1)
+	for t := 0; t < len(x); {
+		switch {
+		case lead>>t&1 != 0:
+			axpySeg(d0, x[t][c0:c0+n], w[2*t])
+			t++
+		case t+4 <= len(x) && lead>>t&15 == 0:
+			x0, x1, x2, x3 := x[t][c0:c0+n], x[t+1][c0:c0+n], x[t+2][c0:c0+n], x[t+3][c0:c0+n]
+			w8 := w[2*t : 2*t+8]
+			e0, o0, e1, o1, e2, o2, e3, o3 := w8[0], w8[1], w8[2], w8[3], w8[4], w8[5], w8[6], w8[7]
+			for c := range d0 {
+				a, b := d0[c], d1[c]
+				v0, v1, v2, v3 := x0[c], x1[c], x2[c], x3[c]
+				a += float64(e0 * v0)
+				b += float64(o0 * v0)
+				a += float64(e1 * v1)
+				b += float64(o1 * v1)
+				a += float64(e2 * v2)
+				b += float64(o2 * v2)
+				a += float64(e3 * v3)
+				b += float64(o3 * v3)
+				d0[c], d1[c] = a, b
+			}
+			t += 4
+		default:
+			e, o := w[2*t], w[2*t+1]
+			for c, v := range x[t][c0 : c0+n] {
+				d0[c] += float64(e * v)
+				d1[c] += float64(o * v)
+			}
+			t++
+		}
 	}
 }
 
@@ -155,7 +264,7 @@ func zeroSeg(d []float64) {
 func axpySeg(d, s []float64, w float64) {
 	d = d[:len(s)]
 	for c, v := range s {
-		d[c] += w * v
+		d[c] += float64(w * v)
 	}
 }
 
@@ -235,24 +344,24 @@ func mergePairs(out, l, h, lo, hi []float64, m, b int) int {
 				// Odd filter length: the even outputs have one more tap.
 				w := f[2*t]
 				cc := c[m-t : m-t+4]
-				e0 += w * cc[0]
-				e1 += w * cc[1]
-				e2 += w * cc[2]
-				e3 += w * cc[3]
+				e0 += float64(w * cc[0])
+				e1 += float64(w * cc[1])
+				e2 += float64(w * cc[2])
+				e3 += float64(w * cc[3])
 				t--
 			}
 			for ; t >= 0; t-- {
 				we, wo := f[2*t], f[2*t+1]
 				cc := c[m-t : m-t+4]
 				v0, v1, v2, v3 := cc[0], cc[1], cc[2], cc[3]
-				e0 += we * v0
-				o0 += wo * v0
-				e1 += we * v1
-				o1 += wo * v1
-				e2 += we * v2
-				o2 += wo * v2
-				e3 += we * v3
-				o3 += wo * v3
+				e0 += float64(we * v0)
+				o0 += float64(wo * v0)
+				e1 += float64(we * v1)
+				o1 += float64(wo * v1)
+				e2 += float64(we * v2)
+				o2 += float64(wo * v2)
+				e3 += float64(we * v3)
+				o3 += float64(wo * v3)
 			}
 		}
 		o8 := out[2*m : 2*m+8]
@@ -287,7 +396,7 @@ func synthScatter(c, h []float64, ext filter.Extension, out []float64, last int)
 		ci := c[i]
 		for k, w := range h {
 			if j, ok := ext.Index(2*i+k, n); ok {
-				out[j] += w * ci
+				out[j] += float64(w * ci)
 			}
 		}
 	}
@@ -308,7 +417,7 @@ func synthGatherAt(c, h, out []float64, j, last int) {
 	}
 	acc := out[j]
 	for i := iLo; i <= iHi; i++ {
-		acc += h[j-2*i] * c[i]
+		acc += float64(h[j-2*i] * c[i])
 	}
 	out[j] = acc
 }

@@ -36,8 +36,19 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func combineAVX2(d []float64, x [][]float64, w []float64)
 
-// mergeAVX2 is mergePairs over len(out)/8 blocks of four pairs: l and h
-// start at the first block's lowest source, (len(lo)-1)/2 and
+// combinePairAVX2 is combinePairCols over len(d0)/8 chunks of eight
+// columns: each chunk loads each term's eight source samples once, and
+// four accumulators, two per row, start at +0 and add the term's
+// products for row 0 and, unless bit t of lead is set, for row 1, one
+// VMULPD and one VADDPD per term, row and lane, so every lane repeats
+// its row's scalar sequence. d1 must hold len(d0) samples, every x[t]
+// len(d0), w 2·len(x), and len(x) must not exceed maxPairTerms.
+//
+//go:noescape
+func combinePairAVX2(d0, d1 []float64, x [][]float64, w []float64, lead uint64)
+
+// mergeAVX2 is mergePairs over len(out)/16 blocks of eight pairs: l and
+// h start at the first block's lowest source, (len(lo)-1)/2 and
 // (len(hi)-1)/2 samples before its first pair, and hold every sample
 // the blocks read. Each lane sums its output in mergePairs' order.
 //
@@ -67,6 +78,24 @@ func combineTerms(d []float64, x [][]float64, w []float64) {
 	combineCols(d, x, w, n)
 }
 
+// combinePair sets d0 and d1 to the column sums of a pair of output
+// rows over one term list, as combinePairCols documents: eight columns
+// at a time in AVX2, the rest in Go.
+//
+//wavelint:hotpath
+func combinePair(d0, d1 []float64, x [][]float64, w []float64, lead uint64) {
+	n := 0
+	if hasAVX2 && len(x) > 0 {
+		n = len(d0) &^ 7
+		d0, d1, w := d0[:n], d1[:n], w[:2*len(x)]
+		for _, xt := range x {
+			_ = xt[:n]
+		}
+		combinePairAVX2(d0, d1, x, w, lead)
+	}
+	combinePairCols(d0, d1, x, w, lead, n)
+}
+
 // deinterleave sets e[m] = x[2m] and o[m] = x[2m+1] for m < len(e):
 // four pairs at a time in AVX2, the rest in Go.
 //
@@ -81,14 +110,15 @@ func deinterleave(e, o, x []float64) {
 }
 
 // mergeInterior writes the interior blocks of pairs from m on, as
-// mergePairs does, and returns the first pair it left.
+// mergePairs does, and returns the first pair it left: blocks of eight
+// pairs in AVX2, then at most one block of four in Go.
 //
 //wavelint:hotpath
 func mergeInterior(out, l, h, lo, hi []float64, m, b int) int {
-	if !hasAVX2 || len(lo) < 2 || len(hi) < 2 || 2*m+8 > b {
-		return mergePairs(out, l, h, lo, hi, m, b)
+	if hasAVX2 && len(lo) >= 2 && len(hi) >= 2 && 2*m+16 <= b {
+		end := m + 8*((b-2*m)/16)
+		mergeAVX2(out[2*m:2*end], l[m-(len(lo)-1)/2:end], h[m-(len(hi)-1)/2:end], lo, hi)
+		m = end
 	}
-	end := m + 4*((b-2*m)/8)
-	mergeAVX2(out[2*m:2*end], l[m-(len(lo)-1)/2:end], h[m-(len(hi)-1)/2:end], lo, hi)
-	return end
+	return mergePairs(out, l, h, lo, hi, m, b)
 }

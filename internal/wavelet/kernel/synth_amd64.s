@@ -67,6 +67,71 @@ combineTerm:
 combineDone:
 	RET
 
+// func combinePairAVX2(d0, d1 []float64, x [][]float64, w []float64, lead uint64)
+//
+// For each chunk of eight columns, Y0 and Y1 (row 0) and Y2 and Y3
+// (row 1) start at +0. Per term t the chunk's sources are loaded once;
+// row 0 adds w[2t] times them, then, unless the term's lead bit is set,
+// row 1 adds w[2t+1] times them: one VMULPD then one VADDPD per term,
+// row and lane, never a fused multiply-add.
+TEXT ·combinePairAVX2(SB), NOSPLIT, $0-104
+	MOVQ d0_base+0(FP), DI
+	MOVQ d0_len+8(FP), SI
+	SHRQ $3, SI                  // chunks
+	JZ   pairDone
+	MOVQ d1_base+24(FP), R13
+	MOVQ x_base+48(FP), R8
+	MOVQ x_len+56(FP), R9        // terms, 1..maxPairTerms
+	MOVQ w_base+72(FP), R10
+	XORQ CX, CX                  // byte offset of the chunk
+
+pairChunk:
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   R8, AX                // &x[t]
+	MOVQ   R10, BX               // &w[2t]
+	MOVQ   lead+96(FP), R12      // lead bits, bit t at bit 0
+	MOVQ   R9, DX
+
+	PCALIGN $32
+
+pairTerm:
+	MOVQ         (AX), R11       // x[t]'s base
+	VMOVUPD      (R11)(CX*1), Y4
+	VMOVUPD      32(R11)(CX*1), Y5
+	VBROADCASTSD (BX), Y6
+	VMULPD       Y4, Y6, Y7
+	VADDPD       Y7, Y0, Y0
+	VMULPD       Y5, Y6, Y8
+	VADDPD       Y8, Y1, Y1
+	SHRQ         $1, R12
+	JCS          pairNext        // a lead term: row 0 only
+	VBROADCASTSD 8(BX), Y9
+	VMULPD       Y4, Y9, Y10
+	VADDPD       Y10, Y2, Y2
+	VMULPD       Y5, Y9, Y11
+	VADDPD       Y11, Y3, Y3
+
+pairNext:
+	ADDQ $24, AX
+	ADDQ $16, BX
+	DECQ DX
+	JNZ  pairTerm
+
+	VMOVUPD Y0, (DI)(CX*1)
+	VMOVUPD Y1, 32(DI)(CX*1)
+	VMOVUPD Y2, (R13)(CX*1)
+	VMOVUPD Y3, 32(R13)(CX*1)
+	ADDQ    $64, CX
+	DECQ    SI
+	JNZ     pairChunk
+	VZEROUPPER
+
+pairDone:
+	RET
+
 // func deinterleaveAVX2(e, o, x []float64)
 //
 // For each block of eight samples of x, the four even ones go to e and
@@ -102,15 +167,16 @@ deinterleaveDone:
 
 // func mergeAVX2(out, l, h, lo, hi []float64)
 //
-// For each block of four pairs, Y0 holds the even outputs and Y1 the
-// odd ones, both started at +0. Each channel adds its extra even tap
-// when its length is odd, then taps t = te..0: f[2t] and f[2t+1] times
-// the same four sources, which advance by one sample per tap. The
-// block is then interleaved into e0 o0 e1 o1 | e2 o2 e3 o3.
+// For each block of eight pairs, Y0 and Y2 hold the even outputs of
+// pairs 0-3 and 4-7, Y1 and Y3 the odd ones, all started at +0. Each
+// channel adds its extra even tap when its length is odd, then taps
+// t = te..0: f[2t] and f[2t+1] times the same eight sources, which
+// advance by one sample per tap. Each half-block is then interleaved
+// into e0 o0 e1 o1 | e2 o2 e3 o3.
 TEXT ·mergeAVX2(SB), NOSPLIT, $0-120
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), CX
-	SHRQ $3, CX                  // blocks
+	SHRQ $4, CX                  // blocks
 	JZ   mergeDone
 	MOVQ l_base+24(FP), SI
 	MOVQ h_base+48(FP), DX
@@ -122,6 +188,8 @@ TEXT ·mergeAVX2(SB), NOSPLIT, $0-120
 mergeBlock:
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
 
 	// RecLo over l.
 	MOVQ SI, AX                  // source cursor
@@ -132,21 +200,28 @@ mergeBlock:
 	LEAQ -16(R8)(R12*8), R12     // &lo[2·te] for the first pair tap
 	TESTQ $1, R9
 	JZ    mergeLoTap
-	VBROADCASTSD -8(R8)(R9*8), Y2  // the extra even tap lo[len-1]
-	VMULPD       (AX), Y2, Y3
-	VADDPD       Y3, Y0, Y0
+	VBROADCASTSD -8(R8)(R9*8), Y4  // the extra even tap lo[len-1]
+	VMULPD       (AX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(AX), Y4, Y6
+	VADDPD       Y6, Y2, Y2
 	ADDQ         $8, AX
 
 	PCALIGN $32
 
 mergeLoTap:
-	VBROADCASTSD (R12), Y2
-	VBROADCASTSD 8(R12), Y3
-	VMOVUPD      (AX), Y4
-	VMULPD       Y4, Y2, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       Y4, Y3, Y6
-	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R12), Y4
+	VBROADCASTSD 8(R12), Y5
+	VMOVUPD      (AX), Y6
+	VMOVUPD      32(AX), Y7
+	VMULPD       Y6, Y4, Y8
+	VADDPD       Y8, Y0, Y0
+	VMULPD       Y6, Y5, Y9
+	VADDPD       Y9, Y1, Y1
+	VMULPD       Y7, Y4, Y10
+	VADDPD       Y10, Y2, Y2
+	VMULPD       Y7, Y5, Y11
+	VADDPD       Y11, Y3, Y3
 	ADDQ         $8, AX
 	SUBQ         $16, R12
 	DECQ         BX
@@ -161,35 +236,48 @@ mergeLoTap:
 	LEAQ -16(R10)(R12*8), R12
 	TESTQ $1, R11
 	JZ    mergeHiTap
-	VBROADCASTSD -8(R10)(R11*8), Y2
-	VMULPD       (AX), Y2, Y3
-	VADDPD       Y3, Y0, Y0
+	VBROADCASTSD -8(R10)(R11*8), Y4
+	VMULPD       (AX), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(AX), Y4, Y6
+	VADDPD       Y6, Y2, Y2
 	ADDQ         $8, AX
 
 	PCALIGN $32
 
 mergeHiTap:
-	VBROADCASTSD (R12), Y2
-	VBROADCASTSD 8(R12), Y3
-	VMOVUPD      (AX), Y4
-	VMULPD       Y4, Y2, Y5
-	VADDPD       Y5, Y0, Y0
-	VMULPD       Y4, Y3, Y6
-	VADDPD       Y6, Y1, Y1
+	VBROADCASTSD (R12), Y4
+	VBROADCASTSD 8(R12), Y5
+	VMOVUPD      (AX), Y6
+	VMOVUPD      32(AX), Y7
+	VMULPD       Y6, Y4, Y8
+	VADDPD       Y8, Y0, Y0
+	VMULPD       Y6, Y5, Y9
+	VADDPD       Y9, Y1, Y1
+	VMULPD       Y7, Y4, Y10
+	VADDPD       Y10, Y2, Y2
+	VMULPD       Y7, Y5, Y11
+	VADDPD       Y11, Y3, Y3
 	ADDQ         $8, AX
 	SUBQ         $16, R12
 	DECQ         BX
 	JNZ          mergeHiTap
 
-	VUNPCKLPD  Y1, Y0, Y2        // e0 o0 | e2 o2
-	VUNPCKHPD  Y1, Y0, Y3        // e1 o1 | e3 o3
-	VPERM2F128 $0x20, Y3, Y2, Y4 // e0 o0 e1 o1
-	VPERM2F128 $0x31, Y3, Y2, Y5 // e2 o2 e3 o3
-	VMOVUPD    Y4, (DI)
-	VMOVUPD    Y5, 32(DI)
-	ADDQ       $32, SI
-	ADDQ       $32, DX
-	ADDQ       $64, DI
+	VUNPCKLPD  Y1, Y0, Y4        // e0 o0 | e2 o2
+	VUNPCKHPD  Y1, Y0, Y5        // e1 o1 | e3 o3
+	VPERM2F128 $0x20, Y5, Y4, Y6 // e0 o0 e1 o1
+	VPERM2F128 $0x31, Y5, Y4, Y7 // e2 o2 e3 o3
+	VMOVUPD    Y6, (DI)
+	VMOVUPD    Y7, 32(DI)
+	VUNPCKLPD  Y3, Y2, Y4        // e4 o4 | e6 o6
+	VUNPCKHPD  Y3, Y2, Y5        // e5 o5 | e7 o7
+	VPERM2F128 $0x20, Y5, Y4, Y6 // e4 o4 e5 o5
+	VPERM2F128 $0x31, Y5, Y4, Y7 // e6 o6 e7 o7
+	VMOVUPD    Y6, 64(DI)
+	VMOVUPD    Y7, 96(DI)
+	ADDQ       $64, SI
+	ADDQ       $64, DX
+	ADDQ       $128, DI
 	DECQ       CX
 	JNZ        mergeBlock
 	VZEROUPPER

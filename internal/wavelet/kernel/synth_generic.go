@@ -10,6 +10,14 @@ func combineTerms(d []float64, x [][]float64, w []float64) {
 	combineCols(d, x, w, 0)
 }
 
+// combinePair sets d0 and d1 to the column sums of a pair of output
+// rows over one term list, as combinePairCols documents.
+//
+//wavelint:hotpath
+func combinePair(d0, d1 []float64, x [][]float64, w []float64, lead uint64) {
+	combinePairCols(d0, d1, x, w, lead, 0)
+}
+
 // deinterleave sets e[m] = x[2m] and o[m] = x[2m+1] for m < len(e).
 //
 //wavelint:hotpath

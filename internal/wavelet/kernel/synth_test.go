@@ -3,6 +3,7 @@ package kernel
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"testing"
 
 	"wavelethpc/internal/filter"
@@ -265,4 +266,85 @@ func TestSynthesizeLevelRangeDropsRowReferences(t *testing.T) {
 			t.Fatalf("ring.taps[%d] still references a source row", k)
 		}
 	}
+}
+
+// pairWidth is the widest row of the pair combine tests.
+const pairWidth = 67
+
+// pairCase is one input of the pair combine tests: a term list x of
+// pairWidth-sample rows with two weights per term in w and lead marks,
+// and each row's own term list for combineCols (row 0 takes every term
+// at w0, row 1 the terms x1 without a lead mark at w1).
+type pairCase struct {
+	name   string
+	x, x1  [][]float64
+	w      []float64
+	lead   uint64
+	w0, w1 []float64
+}
+
+// pairCases calls fn for every term count 1–maxPairTerms with lead
+// marks none, the first, the first and a middle one (the two channels'
+// lead terms of an odd bank), all and a random set. Source row t holds
+// its one non-finite sample in column t, so the zero in a lead term's
+// unused weight would make a NaN in row 1 there. A second pass takes
+// every weight's magnitude and sets the last column of every source to
+// -0: both rows then sum only -0 products there, which give +0 only
+// from a +0 start.
+func pairCases(fn func(pairCase)) {
+	rng := rand.New(rand.NewSource(26))
+	for terms := 1; terms <= maxPairTerms; terms++ {
+		all := uint64(1)<<terms - 1
+		for _, abs := range []bool{false, true} {
+			x := make([][]float64, terms)
+			for k := range x {
+				x[k] = specialRow(pairWidth, int64(100*terms+k), k)
+				if abs {
+					x[k][pairWidth-1] = math.Copysign(0, -1)
+				}
+			}
+			wt := specialRow(2*terms, int64(terms))
+			for k := range wt {
+				if abs {
+					wt[k] = math.Abs(wt[k])
+				}
+			}
+			for _, lead := range []uint64{0, 1, 1 | 1<<(terms/2), all, rng.Uint64() & all} {
+				pc := pairCase{name: fmt.Sprintf("terms%d/abs%v/lead%#x", terms, abs, lead), x: x, lead: lead}
+				pc.w = append([]float64(nil), wt...)
+				for k := range x {
+					if lead>>k&1 != 0 {
+						pc.w[2*k+1] = 0
+					} else {
+						pc.x1, pc.w1 = append(pc.x1, x[k]), append(pc.w1, pc.w[2*k+1])
+					}
+					pc.w0 = append(pc.w0, pc.w[2*k])
+				}
+				fn(pc)
+			}
+		}
+	}
+}
+
+// TestCombinePairColsMatchesRows checks the pure-Go pair combine
+// against combineCols run on each row's own term list, by Float64bits,
+// on every pairCases input and width 0–pairWidth: row 0 takes every
+// term, row 1 every term but the lead ones, each summed from +0 in
+// ascending t.
+func TestCombinePairColsMatchesRows(t *testing.T) {
+	pairCases(func(pc pairCase) {
+		for n := 0; n <= pairWidth; n++ {
+			name := fmt.Sprintf("%s/width%d", pc.name, n)
+			want0, want1 := make([]float64, n), make([]float64, n)
+			combineCols(want0, pc.x, pc.w0, 0)
+			combineCols(want1, pc.x1, pc.w1, 0)
+			got0, got1 := make([]float64, n), make([]float64, n)
+			for c := range got0 {
+				got0[c], got1[c] = math.NaN(), math.NaN()
+			}
+			combinePairCols(got0, got1, pc.x, pc.w, pc.lead, 0)
+			requireBits(t, name+"/0", want0, got0)
+			requireBits(t, name+"/1", want1, got1)
+		}
+	})
 }

@@ -1,6 +1,7 @@
 package wavelet
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"runtime/debug"
@@ -107,6 +108,55 @@ func goRanges(k int) RangeRunner {
 			}(lo)
 		}
 		wg.Wait()
+	}
+}
+
+// reversed is a RangeRunner that splits [0, n) into chunks as goRanges
+// does and runs them one after another, the last chunk first.
+func reversed(k int) RangeRunner {
+	return func(n int, fn func(lo, hi int)) {
+		if n <= 0 {
+			return
+		}
+		chunk := (n + k - 1) / k
+		for lo := (n - 1) / chunk * chunk; lo >= 0; lo -= chunk {
+			fn(lo, min(lo+chunk, n))
+		}
+	}
+}
+
+// TestReconstructRangesIndependent runs the level driver under a runner
+// that takes its chunks last first and under one that gives every chunk
+// its own goroutine, at 0-5 levels for every catalog bank and extension,
+// as decomposed and with signed zeros. With two or more chunks the
+// first call's ranges, the output allocation and the coarse levels, run
+// in reverse order or side by side, so neither may depend on the other;
+// every result must match ReconstructReference bit for bit.
+func TestReconstructRangesIndependent(t *testing.T) {
+	im := image.Landsat(64, 96, 7)
+	for _, name := range filter.Names() {
+		bank, err := filter.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ext := range allExtensions() {
+			for levels := 0; levels <= 5; levels++ {
+				p := &Pyramid{Approx: im, Bank: bank, Ext: ext}
+				if levels > 0 {
+					if p, err = Decompose(im, bank, ext, levels); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for zi, q := range []*Pyramid{p, signedZeros(p)} {
+					want := ReconstructReference(q)
+					for _, k := range []int{2, 3, 1 << 10} {
+						label := fmt.Sprintf("%s/%s/L%d/zeros%d/k%d", name, ext, levels, zi, k)
+						requireBitIdentical(t, label+"/reversed", want, ReconstructRanges(q, reversed(k)))
+						requireBitIdentical(t, label+"/goroutines", want, ReconstructRanges(q, goRanges(k)))
+					}
+				}
+			}
+		}
 	}
 }
 
