@@ -16,9 +16,12 @@
 // window in slots of their own, and column-filters every output row
 // from the ring, eight columns at a time with each coefficient in a
 // vector lane. No full-size L/H intermediate is written or read back.
-// The two-pass AnalyzeRowsRange (with unrolled row filters for the hot
-// lengths) and AnalyzeColsRange (walking narrow column panels row by
-// row) remain for the Walsh–Hadamard cascade.
+// The two-pass entry points, AnalyzeRowsRange, AnalyzeRow and
+// AnalyzeColsRange, run the sweep's own stages one at a time over whole
+// images: the row filter (window.filterRow) and the column combine
+// (combineTerms over the source row segments under each output row's
+// taps). They serve the Walsh–Hadamard cascade, the layer probes and
+// the equivalence tests.
 //
 // Bit-identity contract: every kernel performs, for each output
 // coefficient, exactly the same sequence of floating-point operations as
@@ -33,8 +36,8 @@
 //
 // The fused sweep keeps the contract because each ring row is exactly
 // the row AnalyzeRowsRange would have written to the intermediate (the
-// same terms in the same order, whether from its row kernel or, under
-// periodic extension, from tap views of the deinterleaved row), and
+// same row filter: under periodic extension tap views of the
+// deinterleaved row, otherwise the Go row kernel), and
 // each subband coefficient then starts at zero and adds h[k]·row[2i+k]
 // over the ring rows in ascending k, with the reference interior/border
 // split. Rows filtered twice — shared by
@@ -73,9 +76,9 @@
 // wavelet package checks before dispatching here.
 package kernel
 
-// PanelWidth is the column-panel width of the blocked column pass, in
-// float64 samples: 64 samples = 512 bytes = 8 cache lines per touched
-// row, small enough that one panel's working set (filter-length rows
-// plus two destination rows) stays resident in L1 across the overlapping
-// filter supports of consecutive output rows.
+// PanelWidth is the column-panel width of LiftColsRange, the two-pass
+// lifting column pass, in float64 samples: 64 samples = 512 bytes = 8
+// cache lines per touched row, small enough that one panel stays
+// resident in L1 through all the lifting steps, and the bound of the
+// rows scaleRotateRows spills.
 const PanelWidth = 64

@@ -59,9 +59,10 @@ func requireBits(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// TestRowKernelsBitIdentical drives every row kernel (unrolled and
-// generic) against the reference semantics over lengths that hit the
-// interior-only, wrapped-tail, and shorter-than-filter regimes.
+// TestRowKernelsBitIdentical drives the row filter (the tap-view
+// combine under Periodic, pickRow's kernel otherwise) against the
+// reference semantics over lengths that hit the interior-only,
+// wrapped-tail, and shorter-than-filter regimes.
 func TestRowKernelsBitIdentical(t *testing.T) {
 	banks := []*filter.Bank{filter.Haar(), filter.Daubechies4(), filter.Daubechies6(), filter.Daubechies8()}
 	exts := []filter.Extension{filter.Periodic, filter.Symmetric, filter.Zero}
@@ -79,7 +80,7 @@ func TestRowKernelsBitIdentical(t *testing.T) {
 				refAnalyzeStep(x, b.DecHi, ext, wantHi)
 				gotLo := make([]float64, n/2)
 				gotHi := make([]float64, n/2)
-				pickRow(b, ext, n)(x, b.DecLo, b.DecHi, gotLo, gotHi, ext)
+				AnalyzeRow(x, b, ext, gotLo, gotHi)
 				label := b.Name + "/" + ext.String()
 				requireBits(t, label+"/lo", wantLo, gotLo)
 				requireBits(t, label+"/hi", wantHi, gotHi)
@@ -88,33 +89,55 @@ func TestRowKernelsBitIdentical(t *testing.T) {
 	}
 }
 
-// TestColsRangeBitIdentical checks the blocked column pass against the
+// TestColsRangeBitIdentical checks the column pass against the
 // reference per-column convolution, over shapes that exercise partial
-// panels (cols not a multiple of PanelWidth) and short columns.
+// panels (cols not a multiple of PanelWidth) and short columns, column
+// segments [c0, c1) that start past column 0 and leave every tail of
+// the eight-column vector combine, and strided Sub views (Stride ≠
+// Cols) for the source and both destinations, the Walsh–Hadamard
+// cascade's call shape. Columns outside the segment keep their NaN.
 func TestColsRangeBitIdentical(t *testing.T) {
 	banks := []*filter.Bank{filter.Haar(), filter.Daubechies8()}
 	exts := []filter.Extension{filter.Periodic, filter.Symmetric, filter.Zero}
-	shapes := [][2]int{{2, 2}, {4, 3}, {8, PanelWidth - 1}, {16, PanelWidth + 5}, {6, 2*PanelWidth + 7}}
+	type colsCase struct{ rows, cols, c0, c1, pad int }
+	var cases []colsCase
+	for _, sh := range [][2]int{{2, 2}, {4, 3}, {8, PanelWidth - 1}, {16, PanelWidth + 5}, {6, 2*PanelWidth + 7}} {
+		cases = append(cases, colsCase{sh[0], sh[1], 0, sh[1], 0})
+	}
+	for tail := 1; tail <= 7; tail++ {
+		cases = append(cases, colsCase{10, 40, tail, 2*tail + 8, 0})
+	}
+	cases = append(cases, colsCase{16, 24, 0, 24, 5}, colsCase{8, 36, 3, 30, 7}, colsCase{4, 20, 9, 10, 1})
 	for _, b := range banks {
 		for _, ext := range exts {
-			for _, sh := range shapes {
-				src := randImage(sh[0], sh[1], int64(sh[0]*1000+sh[1]))
-				lo := image.New(sh[0]/2, sh[1])
-				hi := image.New(sh[0]/2, sh[1])
-				AnalyzeColsRange(lo, hi, src, b, ext, 0, sh[1])
-				col := make([]float64, sh[0])
-				wantLo := make([]float64, sh[0]/2)
-				wantHi := make([]float64, sh[0]/2)
-				for c := 0; c < sh[1]; c++ {
+			for _, tc := range cases {
+				rows, cols, pad := tc.rows, tc.cols, tc.pad
+				src := randImage(rows+2*pad, cols+2*pad, int64(rows*1000+cols)).Sub(pad, pad, rows, cols)
+				bands := [2]*image.Image{}
+				for k := range bands {
+					bands[k] = image.New(rows/2+2*pad, cols+2*pad)
+					bands[k].Fill(math.NaN())
+					bands[k] = bands[k].Sub(pad, pad, rows/2, cols)
+				}
+				lo, hi := bands[0], bands[1]
+				AnalyzeColsRange(lo, hi, src, b, ext, tc.c0, tc.c1)
+				col := make([]float64, rows)
+				wantLo := make([]float64, rows/2)
+				wantHi := make([]float64, rows/2)
+				for c := 0; c < cols; c++ {
 					col = src.Col(c, col)
 					refAnalyzeStep(col, b.DecLo, ext, wantLo)
 					refAnalyzeStep(col, b.DecHi, ext, wantHi)
 					for i := range wantLo {
-						if math.Float64bits(wantLo[i]) != math.Float64bits(lo.At(i, c)) {
-							t.Fatalf("%s/%s %dx%d lo(%d,%d): %g vs %g", b.Name, ext, sh[0], sh[1], i, c, wantLo[i], lo.At(i, c))
+						wl, wh := wantLo[i], wantHi[i]
+						if c < tc.c0 || c >= tc.c1 {
+							wl, wh = math.NaN(), math.NaN()
 						}
-						if math.Float64bits(wantHi[i]) != math.Float64bits(hi.At(i, c)) {
-							t.Fatalf("%s/%s %dx%d hi(%d,%d): %g vs %g", b.Name, ext, sh[0], sh[1], i, c, wantHi[i], hi.At(i, c))
+						if math.Float64bits(wl) != math.Float64bits(lo.At(i, c)) {
+							t.Fatalf("%s/%s %+v lo(%d,%d): %g vs %g", b.Name, ext, tc, i, c, wl, lo.At(i, c))
+						}
+						if math.Float64bits(wh) != math.Float64bits(hi.At(i, c)) {
+							t.Fatalf("%s/%s %+v hi(%d,%d): %g vs %g", b.Name, ext, tc, i, c, wh, hi.At(i, c))
 						}
 					}
 				}

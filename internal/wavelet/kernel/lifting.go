@@ -10,17 +10,18 @@ import (
 // one sweep of LiftLevelRange (windowlift.go): it row-lifts each source
 // row once into a ring, runs the column steps over a sliding window of
 // ring rows, and writes each subband row once. The two-pass kernels here
-// are its reference and remain as probes: one row pass deinterleaves
-// each source row's polyphase pair directly into the
-// vertically-deinterleaved subband images (LiftRowsRange), and one
+// run the same routines one stage at a time over whole images and serve
+// as its reference and as probes: one row pass deinterleaves each source
+// row's polyphase pair directly into the vertically-deinterleaved
+// subband images (LiftRowsRange, on the sweep's liftRow), and one
 // in-place panel-blocked column pass lifts down the rows of each subband
-// pair (LiftColsRange). The fused sweep is bit-identical to them because
-// each ring row is the row LiftRowsRange writes (same liftRow, same
-// input), and each column step then applies to every coefficient the
-// form LiftColsRange applies at its level position: dst + (t0·a + t1·b)
-// in the interior, a +0-started accumulator on the wrapped rows (the
-// two differ only in the sign of a zero), then the channel's c·x. Only
-// the order across coefficients changes.
+// pair (LiftColsRange, on the sweep's liftSegInterior and liftSegAcc).
+// The fused sweep is bit-identical to them because each ring row is the
+// row LiftRowsRange writes, and each column step then applies to every
+// coefficient the form LiftColsRange applies at its level position:
+// dst + (t0·a + t1·b) in the interior, a +0-started accumulator on the
+// wrapped rows (the two differ only in the sign of a zero), then the
+// channel's c·x. Only the order across coefficients changes.
 //
 // Lifting reorders accumulation relative to the convolution kernels, so
 // this tier is *not* under the bit-identity contract of the package
@@ -414,118 +415,25 @@ func LiftColsRange(s, d *image.Image, sch *filter.LiftingScheme, c0, c1 int) {
 	}
 }
 
-// liftColsStep is liftRowStep turned sideways: one destination row
-// segment accumulates from the tap-offset source rows, with the same
-// per-coefficient accumulator order.
+// liftColsStep is liftRowStep turned sideways: each destination row
+// segment accumulates from the tap-offset source rows, in the sweep's
+// forms, liftSegInterior where the step does not wrap and liftSegAcc
+// where it does.
 func liftColsStep(dst, src *image.Image, st *filter.LiftStep, p0, p1 int) {
 	half := dst.Rows
-	lo := st.Lo
-	taps := st.Taps
-	f := len(taps)
-	i0, i1 := liftInterior(lo, f, half)
-	for i := 0; i < i0; i++ {
-		liftColsWrapRow(dst, src, taps, i, lo, half, p0, p1)
-	}
-	switch f {
-	case 1:
-		t0 := taps[0]
-		for i := i0; i < i1; i++ {
-			dr := dst.RowSeg(i, p0, p1)
-			s0 := src.RowSeg(i+lo, p0, p1)[:len(dr)]
-			for c, v := range s0 {
-				dr[c] += float64(t0 * v)
-			}
+	f := len(st.Taps)
+	i0, i1 := liftInterior(st.Lo, f, half)
+	var t [maxLiftTaps][]float64
+	for i := 0; i < half; i++ {
+		for j := range st.Taps {
+			t[j] = src.RowSeg(modInt(i+st.Lo+j, half), p0, p1)
 		}
-	case 2:
-		// Two destination rows per iteration share the middle source
-		// row, halving the loads down the panel.
-		t0, t1 := taps[0], taps[1]
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			dr0 := dst.RowSeg(i, p0, p1)
-			dr1 := dst.RowSeg(i+1, p0, p1)[:len(dr0)]
-			s0 := src.RowSeg(i+lo, p0, p1)[:len(dr0)]
-			s1 := src.RowSeg(i+lo+1, p0, p1)[:len(dr0)]
-			s2 := src.RowSeg(i+lo+2, p0, p1)[:len(dr0)]
-			for c := range dr0 {
-				a1 := s1[c]
-				dr0[c] += float64(t0*s0[c]) + float64(t1*a1)
-				dr1[c] += float64(t0*a1) + float64(t1*s2[c])
-			}
+		d := dst.RowSeg(i, p0, p1)
+		if i >= i0 && i < i1 {
+			liftSegInterior(d, t[:f], st.Taps)
+		} else {
+			liftSegAcc(d, t[:f], st.Taps)
 		}
-		for ; i < i1; i++ {
-			dr := dst.RowSeg(i, p0, p1)
-			s0 := src.RowSeg(i+lo, p0, p1)[:len(dr)]
-			s1 := src.RowSeg(i+lo+1, p0, p1)[:len(dr)]
-			for c := range dr {
-				dr[c] += float64(t0*s0[c]) + float64(t1*s1[c])
-			}
-		}
-	case 3:
-		t0, t1, t2 := taps[0], taps[1], taps[2]
-		i := i0
-		for ; i+2 <= i1; i += 2 {
-			dr0 := dst.RowSeg(i, p0, p1)
-			dr1 := dst.RowSeg(i+1, p0, p1)[:len(dr0)]
-			s0 := src.RowSeg(i+lo, p0, p1)[:len(dr0)]
-			s1 := src.RowSeg(i+lo+1, p0, p1)[:len(dr0)]
-			s2 := src.RowSeg(i+lo+2, p0, p1)[:len(dr0)]
-			s3 := src.RowSeg(i+lo+3, p0, p1)[:len(dr0)]
-			for c := range dr0 {
-				a1, a2 := s1[c], s2[c]
-				dr0[c] += float64(t0*s0[c]) + float64(t1*a1) + float64(t2*a2)
-				dr1[c] += float64(t0*a1) + float64(t1*a2) + float64(t2*s3[c])
-			}
-		}
-		for ; i < i1; i++ {
-			dr := dst.RowSeg(i, p0, p1)
-			s0 := src.RowSeg(i+lo, p0, p1)[:len(dr)]
-			s1 := src.RowSeg(i+lo+1, p0, p1)[:len(dr)]
-			s2 := src.RowSeg(i+lo+2, p0, p1)[:len(dr)]
-			for c := range dr {
-				dr[c] += float64(t0*s0[c]) + float64(t1*s1[c]) + float64(t2*s2[c])
-			}
-		}
-	default:
-		var segs [maxLiftTaps][]float64
-		for i := i0; i < i1; i++ {
-			dr := dst.RowSeg(i, p0, p1)
-			for j := 0; j < f; j++ {
-				segs[j] = src.RowSeg(i+lo+j, p0, p1)
-			}
-			for c := range dr {
-				var acc float64
-				for j := 0; j < f; j++ {
-					acc += float64(taps[j] * segs[j][c])
-				}
-				dr[c] += acc
-			}
-		}
-	}
-	for i := i1; i < half; i++ {
-		liftColsWrapRow(dst, src, taps, i, lo, half, p0, p1)
-	}
-}
-
-// liftColsWrapRow handles one border destination row with wrapped source
-// indices, accumulator-ordered like the interior.
-func liftColsWrapRow(dst, src *image.Image, taps []float64, i, lo, half, p0, p1 int) {
-	var segs [maxLiftTaps][]float64
-	f := len(taps)
-	for j := 0; j < f; j++ {
-		idx := (i + lo + j) % half
-		if idx < 0 {
-			idx += half
-		}
-		segs[j] = src.RowSeg(idx, p0, p1)
-	}
-	dr := dst.RowSeg(i, p0, p1)
-	for c := range dr {
-		var acc float64
-		for j := 0; j < f; j++ {
-			acc += float64(taps[j] * segs[j][c])
-		}
-		dr[c] += acc
 	}
 }
 

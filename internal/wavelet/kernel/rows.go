@@ -6,54 +6,50 @@ import (
 )
 
 // rowFunc filters one even-length row x by the lo/hi filter pair and
-// decimates by two into dLo/dHi (each len(x)/2). Specialized variants
-// ignore ext (they are selected only when it is Periodic).
+// decimates by two into dLo/dHi (each len(x)/2).
 type rowFunc func(x, lo, hi, dLo, dHi []float64, ext filter.Extension)
 
 // AnalyzeRowsRange row-filters rows [r0, r1) of src by both channels of
 // bank and decimates the columns by two into l and h (each src.Rows ×
 // src.Cols/2). It is the fast-path equivalent of wavelet.AnalyzeRows
-// restricted to a row range, with both channels fused into one pass over
-// each source row and the per-tap loop unrolled for the hot filter
-// lengths under periodic extension. Outputs are bit-identical to the
-// reference (see the package comment).
+// restricted to a row range, on the row filter of AnalyzeLevelRange
+// (window.filterRow). Outputs are bit-identical to the reference (see
+// the package comment).
 func AnalyzeRowsRange(l, h, src *image.Image, bank *filter.Bank, ext filter.Extension, r0, r1 int) {
-	k := pickRow(bank, ext, src.Cols)
+	ring := GetRing()
+	w := rowWindow(bank, ext, src.Cols/2, ring)
 	for r := r0; r < r1; r++ {
-		k(src.Row(r), bank.DecLo, bank.DecHi, l.Row(r), h.Row(r), ext)
+		w.filterRow(src.Row(r), l.Row(r), h.Row(r))
 	}
+	PutRing(ring)
 }
 
 // AnalyzeRow filters one even-length row by the bank's analysis pair and
-// decimates by two into dLo/dHi (each len(x)/2), through the same kernel
-// selection as AnalyzeRowsRange. Exported for transforms built on the
-// kernel layer outside the pyramid dispatch (the Walsh–Hadamard cascade).
+// decimates by two into dLo/dHi (each len(x)/2), on the same row filter
+// as AnalyzeRowsRange. Exported for transforms built on the kernel layer
+// outside the pyramid dispatch (the Walsh–Hadamard cascade).
 func AnalyzeRow(x []float64, bank *filter.Bank, ext filter.Extension, dLo, dHi []float64) {
-	pickRow(bank, ext, len(x))(x, bank.DecLo, bank.DecHi, dLo, dHi, ext)
+	ring := GetRing()
+	w := rowWindow(bank, ext, len(x)/2, ring)
+	w.filterRow(x, dLo, dHi)
+	PutRing(ring)
 }
 
-// pickRow selects the row kernel: an unrolled periodic specialization
-// when both analysis channels share one of the hot lengths and the
-// signal is long enough that wrapped indices need at most one
-// subtraction; the fused generic kernel for other equal-length banks;
-// and the per-channel split kernel when the analysis channels have
-// different lengths (biorthogonal banks).
-func pickRow(bank *filter.Bank, ext filter.Extension, n int) rowFunc {
-	f := len(bank.DecLo)
-	if len(bank.DecHi) != f {
+// rowWindow returns a window with no slots, for filtering rows of 2·n
+// samples outside a level sweep, its scratch in ring.
+func rowWindow(bank *filter.Bank, ext filter.Extension, n int, ring *Ring) window {
+	w := window{bank: bank, ext: ext, n: n, f: max(len(bank.DecLo), len(bank.DecHi))}
+	w.reserve(ring)
+	return w
+}
+
+// pickRow selects the row kernel of the rows the tap-view filter does
+// not take (see window.filterRow): the fused generic kernel for
+// equal-length banks, and the per-channel split kernel when the analysis
+// channels have different lengths (biorthogonal banks).
+func pickRow(bank *filter.Bank) rowFunc {
+	if len(bank.DecHi) != len(bank.DecLo) {
 		return rowsSplit
-	}
-	if ext == filter.Periodic && n >= f {
-		switch f {
-		case 2:
-			return rowsPeriodic2
-		case 4:
-			return rowsPeriodic4
-		case 6:
-			return rowsPeriodic6
-		case 8:
-			return rowsPeriodic8
-		}
 	}
 	return rowsGeneric
 }
@@ -79,7 +75,7 @@ func rowChannel(x, h, dst []float64, ext filter.Extension) {
 		xx := x[2*i : 2*i+f]
 		var a float64
 		for k, v := range xx {
-			a += h[k] * v
+			a += float64(h[k] * v)
 		}
 		dst[i] = a
 	}
@@ -88,7 +84,7 @@ func rowChannel(x, h, dst []float64, ext filter.Extension) {
 		for k := 0; k < f; k++ {
 			j, ok := ext.Index(2*i+k, n)
 			if ok {
-				a += h[k] * x[j]
+				a += float64(h[k] * x[j])
 			}
 		}
 		dst[i] = a
@@ -110,8 +106,8 @@ func rowsGeneric(x, lo, hi, dLo, dHi []float64, ext filter.Extension) {
 		xx := x[2*i : 2*i+f]
 		var a, d float64
 		for k, v := range xx {
-			a += lo[k] * v
-			d += hi[k] * v
+			a += float64(lo[k] * v)
+			d += float64(hi[k] * v)
 		}
 		dLo[i] = a
 		dHi[i] = d
@@ -122,141 +118,11 @@ func rowsGeneric(x, lo, hi, dLo, dHi []float64, ext filter.Extension) {
 			j, ok := ext.Index(2*i+k, n)
 			if ok {
 				v := x[j]
-				a += lo[k] * v
-				d += hi[k] * v
+				a += float64(lo[k] * v)
+				d += float64(hi[k] * v)
 			}
 		}
 		dLo[i] = a
 		dHi[i] = d
 	}
-}
-
-// rowsPeriodicTail handles the wrapped outputs of the unrolled periodic
-// kernels: for n >= f every index 2i+k is below 2n, so a single
-// subtraction replaces ext.Index.
-func rowsPeriodicTail(x, lo, hi, dLo, dHi []float64, from int) {
-	n := len(x)
-	f := len(lo)
-	for i := from; i < n/2; i++ {
-		var a, d float64
-		for k := 0; k < f; k++ {
-			j := 2*i + k
-			if j >= n {
-				j -= n
-			}
-			v := x[j]
-			a += lo[k] * v
-			d += hi[k] * v
-		}
-		dLo[i] = a
-		dHi[i] = d
-	}
-}
-
-func rowsPeriodic2(x, lo, hi, dLo, dHi []float64, _ filter.Extension) {
-	n := len(x)
-	l0, l1 := lo[0], lo[1]
-	h0, h1 := hi[0], hi[1]
-	// f=2 never wraps: 2i+1 <= n-1 for every output.
-	for i := 0; i < n/2; i++ {
-		xx := x[2*i : 2*i+2]
-		x0, x1 := xx[0], xx[1]
-		var a float64
-		a += l0 * x0
-		a += l1 * x1
-		dLo[i] = a
-		var d float64
-		d += h0 * x0
-		d += h1 * x1
-		dHi[i] = d
-	}
-}
-
-func rowsPeriodic4(x, lo, hi, dLo, dHi []float64, _ filter.Extension) {
-	n := len(x)
-	l0, l1, l2, l3 := lo[0], lo[1], lo[2], lo[3]
-	h0, h1, h2, h3 := hi[0], hi[1], hi[2], hi[3]
-	interior := (n - 4) / 2
-	i := 0
-	for ; i <= interior; i++ {
-		xx := x[2*i : 2*i+4]
-		x0, x1, x2, x3 := xx[0], xx[1], xx[2], xx[3]
-		var a float64
-		a += l0 * x0
-		a += l1 * x1
-		a += l2 * x2
-		a += l3 * x3
-		dLo[i] = a
-		var d float64
-		d += h0 * x0
-		d += h1 * x1
-		d += h2 * x2
-		d += h3 * x3
-		dHi[i] = d
-	}
-	rowsPeriodicTail(x, lo, hi, dLo, dHi, i)
-}
-
-func rowsPeriodic6(x, lo, hi, dLo, dHi []float64, _ filter.Extension) {
-	n := len(x)
-	l0, l1, l2, l3, l4, l5 := lo[0], lo[1], lo[2], lo[3], lo[4], lo[5]
-	h0, h1, h2, h3, h4, h5 := hi[0], hi[1], hi[2], hi[3], hi[4], hi[5]
-	interior := (n - 6) / 2
-	i := 0
-	for ; i <= interior; i++ {
-		xx := x[2*i : 2*i+6]
-		x0, x1, x2 := xx[0], xx[1], xx[2]
-		x3, x4, x5 := xx[3], xx[4], xx[5]
-		var a float64
-		a += l0 * x0
-		a += l1 * x1
-		a += l2 * x2
-		a += l3 * x3
-		a += l4 * x4
-		a += l5 * x5
-		dLo[i] = a
-		var d float64
-		d += h0 * x0
-		d += h1 * x1
-		d += h2 * x2
-		d += h3 * x3
-		d += h4 * x4
-		d += h5 * x5
-		dHi[i] = d
-	}
-	rowsPeriodicTail(x, lo, hi, dLo, dHi, i)
-}
-
-func rowsPeriodic8(x, lo, hi, dLo, dHi []float64, _ filter.Extension) {
-	n := len(x)
-	l0, l1, l2, l3, l4, l5, l6, l7 := lo[0], lo[1], lo[2], lo[3], lo[4], lo[5], lo[6], lo[7]
-	h0, h1, h2, h3, h4, h5, h6, h7 := hi[0], hi[1], hi[2], hi[3], hi[4], hi[5], hi[6], hi[7]
-	interior := (n - 8) / 2
-	i := 0
-	for ; i <= interior; i++ {
-		xx := x[2*i : 2*i+8]
-		x0, x1, x2, x3 := xx[0], xx[1], xx[2], xx[3]
-		x4, x5, x6, x7 := xx[4], xx[5], xx[6], xx[7]
-		var a float64
-		a += l0 * x0
-		a += l1 * x1
-		a += l2 * x2
-		a += l3 * x3
-		a += l4 * x4
-		a += l5 * x5
-		a += l6 * x6
-		a += l7 * x7
-		dLo[i] = a
-		var d float64
-		d += h0 * x0
-		d += h1 * x1
-		d += h2 * x2
-		d += h3 * x3
-		d += h4 * x4
-		d += h5 * x5
-		d += h6 * x6
-		d += h7 * x7
-		dHi[i] = d
-	}
-	rowsPeriodicTail(x, lo, hi, dLo, dHi, i)
 }

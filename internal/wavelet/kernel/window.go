@@ -21,9 +21,8 @@ import (
 // split, so the result is bit-identical to the two-pass kernels. ring
 // is resized as needed and must not be shared by concurrent calls.
 //
-// Under Periodic with src.Cols >= F the row filter runs on combineTerms
-// too (see window.filter); otherwise it is AnalyzeRowsRange's row
-// kernel.
+// The row filter, window.filterRow, is AnalyzeRowsRange's: under
+// Periodic with src.Cols >= F it runs on combineTerms too.
 //
 //wavelint:hotpath
 func AnalyzeLevelRange(ll, lh, hl, hh, src *image.Image, bank *filter.Bank, ext filter.Extension, i0, i1 int, ring *Ring) {
@@ -82,16 +81,21 @@ type window struct {
 
 // reserve lays the window out in ring: the slots, then xe and xo
 // (n+(f-1)/2 samples each) in one more slot's worth of the buffer, and
-// a tap table for the column taps of both halves and the f row taps.
+// a tap table for the column taps of both halves and the f row taps. A
+// window without a source only filters rows (rowWindow) and has no
+// slots.
 //
 //wavelint:hotpath
 func (w *window) reserve(ring *Ring) {
 	f, n := w.f, w.n
 	e := (f - 1) / 2
-	slots := f + w.eHi - w.eLo
+	slots := 0
+	if w.src != nil {
+		slots = f + w.eHi - w.eLo
+	}
 	w.buf = ring.reserve(slots+1, n+e, 3*f)
-	if w.ext != filter.Periodic || w.src.Cols < f {
-		w.row = pickRow(w.bank, w.ext, w.src.Cols)
+	if w.ext != filter.Periodic || 2*n < f {
+		w.row = pickRow(w.bank)
 		return
 	}
 	w.xe = w.buf[2*slots*n:][:n+e]
@@ -139,20 +143,26 @@ func (w *window) slot(s int) (l, h []float64) {
 
 // filter row-filters source row j into slot s.
 //
-// Under Periodic with src.Cols >= f, output i of a channel h is
-// Σ h[k]·x[(2i+k) mod Cols], from +0 in ascending k, for every i: the
-// reference's interior outputs index x directly and its border outputs
-// wrap once (2i+k < 2·Cols). With Cols even, x[(2i+k) mod Cols] is
-// sample (i+k/2) mod n of the even half of x for even k and of the odd
-// half for odd k. So the row is deinterleaved once into xe and xo, both
-// are extended periodically by (f-1)/2 samples, and each channel is one
-// combineTerms over the row taps rt: the same terms in the same order,
-// wrapped outputs included.
-//
 //wavelint:hotpath
 func (w *window) filter(j, s int) {
 	l, h := w.slot(s)
-	x := w.src.Row(j)
+	w.filterRow(w.src.Row(j), l, h)
+}
+
+// filterRow row-filters x (2·n samples) into l and h.
+//
+// Under Periodic with 2·n >= f, output i of a channel h is
+// Σ h[k]·x[(2i+k) mod 2n], from +0 in ascending k, for every i: the
+// reference's interior outputs index x directly and its border outputs
+// wrap once (2i+k < 4n). x[(2i+k) mod 2n] is sample (i+k/2) mod n of
+// the even half of x for even k and of the odd half for odd k. So the
+// row is deinterleaved once into xe and xo, both are extended
+// periodically by (f-1)/2 samples, and each channel is one combineTerms
+// over the row taps rt: the same terms in the same order, wrapped
+// outputs included. Other rows run pickRow's kernel.
+//
+//wavelint:hotpath
+func (w *window) filterRow(x, l, h []float64) {
 	lo, hi := w.bank.DecLo, w.bank.DecHi
 	if w.row != nil {
 		w.row(x, lo, hi, l, h, w.ext)

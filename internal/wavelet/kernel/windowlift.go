@@ -32,8 +32,8 @@ const maxLiftSteps = 16
 //
 // Every coefficient sees the operations the two-pass kernels apply to
 // it: the same row-lifted values, then per step dst + (t0·a + t1·b …)
-// where LiftColsRange runs its interior forms and a +0-started
-// accumulator where it wraps (liftColsWrapRow), then c·x. So the result
+// where the step does not wrap (liftSegInterior) and a +0-started
+// accumulator where it wraps (liftSegAcc), then c·x. So the result
 // is bit-identical to the two-pass tier for any split of the level, and
 // disjoint ranges may run concurrently, each recomputing its own halo.
 // ring is resized as needed and must not be shared by concurrent calls.
@@ -376,8 +376,10 @@ func liftSegScaled(out, d []float64, t [][]float64, taps []float64, c float64, i
 	}
 }
 
-// liftSegInterior is one destination row of a step away from the wrap,
-// in liftColsStep's per-width forms.
+// liftSegInterior is one destination row of a step away from the wrap:
+// dst + (t0·a + t1·b …) for the one- to three-tap steps, and the
+// +0-started accumulator of liftSegAcc for wider ones. liftColsStep
+// runs it too.
 //
 //wavelint:hotpath
 func liftSegInterior(d []float64, t [][]float64, taps []float64) {
@@ -411,7 +413,7 @@ func liftSegInterior(d []float64, t [][]float64, taps []float64) {
 // liftSegInterior2 is liftSegInterior on two consecutive destination
 // rows, whose sources are t[:len(taps)] and t[1:]. For the two-tap
 // steps (every non-final catalog step with more than one tap) the
-// middle source row is loaded once, as liftColsStep does.
+// middle source row is loaded once.
 //
 //wavelint:hotpath
 func liftSegInterior2(d0, d1 []float64, t [][]float64, taps []float64) {
@@ -435,8 +437,9 @@ func liftSegInterior2(d0, d1 []float64, t [][]float64, taps []float64) {
 	}
 }
 
-// liftSegAcc is one destination row with the accumulator started at +0,
-// liftColsWrapRow's form (and liftColsStep's for wide steps).
+// liftSegAcc is one destination row with the accumulator started at +0:
+// the form of every row where the step wraps, and of every row of a
+// step wider than three taps.
 //
 //wavelint:hotpath
 func liftSegAcc(d []float64, t [][]float64, taps []float64) {
